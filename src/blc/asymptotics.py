@@ -386,7 +386,6 @@ def convergence_series(
     if max_n < 2:
         raise ValueError(f"need max_n >= 2, got {max_n}")
     tbl = table or counting.shared_table()
-    tbl.ensure(max_n)
     bounds = sorted(set(m_values), key=lambda m: (m == math.inf, m))
     rho_exact = _rho_exact()
     points: list[ConvergencePoint] = []

@@ -159,7 +159,10 @@ def _add_guard_option(sp) -> None:
         type=int,
         default=2000,
         metavar="N",
-        help="refuse sizes above N; the count table grows quadratically (default 2000)",
+        help=(
+            "refuse sizes above N; an --all count of size n costs O(n^2), "
+            "a bounded one about n^3/27 (default 2000)"
+        ),
     )
 
 
@@ -176,7 +179,6 @@ def _cmd_table(args) -> int:
         raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
     bounds = _parse_bounds(args.m)
     table = counting.shared_table()
-    table.ensure(args.max_n)
     print("n,m,count")
     for m in bounds:
         label = _bound_text(m)

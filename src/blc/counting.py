@@ -12,98 +12,98 @@ recurrence
 
 where the bracket contributes 1 for the variable of size n + 2 (always
 present in the unbounded case), the middle term counts abstractions and
-the convolution counts applications.
+the convolution counts applications.  Every row is 0 at sizes 0 and 1,
+so the convolution runs over k = 2..n - 2, and its k <-> n - k symmetry
+halves the products.
 
 An index worth i + 1 bits cannot exceed n - 1 inside a term of size n,
-so ``count(m, n) == count(math.inf, n)`` for every m >= n - 1.  The memo
-table exploits that: it keeps one dense row of unbounded counts plus,
-for each finite m, only the entries with n >= m + 2; smaller columns of
-a finite row alias the unbounded row.  Storage is therefore quadratic
-in the largest size filled, and the convolution halves its work via the
-symmetry of k <-> n - k.
+so ``count(m, n) == count(math.inf, n)`` for every m >= n - 1.  The
+unbounded counts are the coefficients of one series,
+G = z^2 / (1 - z) + z^2 G + z^2 G^2, so that row costs O(n^2) products.
+A bounded count ``count(m, n)`` with m < n - 1 reads row m + 1 two sizes
+lower, row m + 2 four sizes lower, and so on, until the bound reaches
+the size and the row equals the unbounded one: a cone of about n^3 / 27
+products for m = 0, against the n^3 / 6 of filling every bounded row
+through n.  The table fills only that cone.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+from operator import mul
+
+
+def _convolution(row: list[int], base: int) -> int:
+    """sum_{k=2}^{base-2} row[k] * row[base - k], by its k <-> base - k symmetry."""
+    half = sum(map(mul, row[2 : (base + 1) // 2], row[base - 2 : base // 2 : -1]))
+    mid = base // 2
+    return 2 * half + (row[mid] * row[mid] if base % 2 == 0 else 0)
 
 
 class CountTable:
-    """Memo table for the counting recurrence.
+    """Memo table for the counting recurrence, filled on demand.
 
-    Grows on demand; ``ensure(n)`` fills every column up to n.  Filling
-    is column-major (sizes ascending, bounds descending within a
-    column), so each entry's dependencies are ready when needed.  Reads
-    of already-filled entries never mutate, so a table may be shared
-    freely once built.
+    ``_inf`` is the unbounded row and ``_rows[m]`` the row of finite
+    bound m, both dense from size 0; a row's length is how far it is
+    filled.  ``ensure(n)`` fills only the unbounded row, in O(n^2);
+    ``count(m, n)`` fills the bounded rows it reads, which for
+    m < n - 1 is the cone of rows m, m + 1, ... through sizes n,
+    n - 2, ..., about n^3 / 27 products at m = 0.
+
+    A fill holds the table's lock, builds the unbounded row in a local
+    list and publishes it with one assignment, and appends a bounded
+    entry only once it is computed.  So a fill cut short by an exception
+    leaves every published entry correct, two threads never fill the
+    same entry, and a lookup of an entry already filled takes no lock.
     """
 
     def __init__(self, max_n: int = 0):
         self._inf: list[int] = [0]
-        # _rows[m][n] for finite m; _rows[m][: m + 2] aliases _inf.
         self._rows: list[list[int]] = []
-        # Smallest n with _rows[m][n] > 0, or None while the row is all
-        # zero; lets the convolution skip the empty prefix.
-        self._first_nonzero: list[int | None] = []
+        self._lock = threading.Lock()
         if max_n > 0:
             self.ensure(max_n)
 
     @property
     def max_n(self) -> int:
+        """Largest size the unbounded row is filled through."""
         return len(self._inf) - 1
 
     def ensure(self, n: int) -> None:
-        """Fill the table through size ``n`` (no-op if already there)."""
-        old = self.max_n
-        if n <= old:
+        """Fill the unbounded row through size ``n`` (no-op if already there)."""
+        if n <= self.max_n:
             return
-        inf = self._inf
-        inf.extend([0] * (n - old))
-        for col in range(max(2, old + 1), n + 1):
-            base = col - 2
-            half = 0
-            k, j = 2, base - 2
-            while k < j:
-                half += inf[k] * inf[j]
-                k += 1
-                j -= 1
-            conv = 2 * half
-            if k == j:
-                conv += inf[k] * inf[k]
-            inf[col] = 1 + inf[base] + conv
-        rows = self._rows
-        first_nonzero = self._first_nonzero
-        for col in range(max(2, old + 1), n + 1):
-            base = col - 2
-            for m in range(col - 2, -1, -1):
-                if m == len(rows):
-                    # New row: every column below m + 2 saturates, so
-                    # alias the unbounded prefix.
-                    rows.append(inf[: m + 2])
-                    first_nonzero.append(2 if m >= 1 else None)
-                row = rows[m]
-                if m + 1 >= base - 1:
-                    abs_part = inf[base]
-                else:
-                    abs_part = rows[m + 1][base]
-                lo = first_nonzero[m]
-                conv = 0
-                if lo is not None:
-                    half = 0
-                    k, j = lo, base - lo
-                    while k < j:
-                        half += row[k] * row[j]
-                        k += 1
-                        j -= 1
-                    conv = 2 * half
-                    if k == j:
-                        conv += row[k] * row[k]
-                # The variable of size col needs m >= col - 1, which
-                # never holds in the stored range m <= col - 2.
-                val = abs_part + conv
-                row.append(val)
-                if val and lo is None:
-                    first_nonzero[m] = col
+        with self._lock:
+            inf = self._inf[:]
+            for col in range(len(inf), n + 1):
+                base = col - 2
+                inf.append(1 + inf[base] + _convolution(inf, base) if base >= 0 else 0)
+            self._inf = inf
+
+    def _fill_cone(self, m: int, n: int) -> None:
+        """Fill rows m, m + 1, ... through the sizes ``count(m, n)`` reads."""
+        self.ensure(n)
+        with self._lock:
+            inf = self._inf
+            rows = self._rows
+            # Row j is read through size n - 2(j - m); from the first j
+            # where that is <= j + 1 on, the row equals the unbounded one.
+            top = m
+            while n - 2 * (top - m) > top + 1:
+                top += 1
+            while len(rows) < top:
+                rows.append([])
+            for j in range(top - 1, m - 1, -1):
+                row = rows[j]
+                last = n - 2 * (j - m)
+                row.extend(inf[len(row) : j + 2])
+                for col in range(len(row), last + 1):
+                    base = col - 2
+                    # col > j + 1, so no variable fits; the abstraction
+                    # body's row j + 1 saturates at sizes <= j + 2.
+                    body = inf[base] if base <= j + 2 else rows[j + 1][base]
+                    row.append(body + _convolution(row, base))
 
     def count(self, m: int | float, n: int) -> int:
         """Exact count for free-index bound ``m`` (math.inf allowed)."""
@@ -111,14 +111,17 @@ class CountTable:
             raise ValueError(f"size must be >= 0, got {n}")
         if m != math.inf and not (isinstance(m, int) and m >= 0):
             raise ValueError(f"free-index bound must be a nonnegative int or math.inf, got {m!r}")
-        self.ensure(n)
         if m >= n - 1:
+            if n >= len(self._inf):
+                self.ensure(n)
             return self._inf[n]
-        return self._rows[m][n]
+        rows = self._rows
+        if m >= len(rows) or n >= len(rows[m]):
+            self._fill_cone(m, n)
+        return rows[m][n]
 
     def count_row(self, m: int | float, max_n: int) -> list[int]:
         """Counts for sizes 0..max_n at bound ``m``."""
-        self.ensure(max_n)
         return [self.count(m, n) for n in range(max_n + 1)]
 
 

@@ -1,4 +1,9 @@
 import math
+import random
+import signal
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -113,3 +118,125 @@ def test_functional_equation_detects_corruption():
 def test_functional_equation_needs_room():
     with pytest.raises(ValueError):
         verify_functional_equation(1)
+
+
+# Bounds and largest size of the cone-fill and concurrency checks.
+CONE_BOUNDS = (0, 1, 2, 3, 5, 11, math.inf)
+CONE_TOP = 300
+
+
+@pytest.fixture(scope="module")
+def reference():
+    """count(m, n) for the bounds in CONE_BOUNDS and n <= CONE_TOP, straight
+    from the recurrence, one row at a time and without the table's
+    shortcuts.
+
+    Row j is computed through size CONE_TOP - 2 * max(0, j - 11), all that
+    rows 0..11 read.  Rows are added upwards until that size drops below
+    2, where a row is all zero, so no row is borrowed from the unbounded
+    one.
+    """
+    top_bound = 11
+
+    def reach(j):
+        return CONE_TOP - 2 * max(0, j - top_bound)
+
+    j = top_bound
+    while reach(j) >= 2:
+        j += 1
+    above = [0] * (reach(j) + 1)
+    rows = {}
+    for j in range(j - 1, -1, -1):
+        row = [0, 0]
+        for n in range(2, reach(j) + 1):
+            variable = 1 if j >= n - 1 else 0
+            apps = sum(row[k] * row[n - 2 - k] for k in range(n - 1))
+            row.append(variable + above[n - 2] + apps)
+        rows[j] = above = row
+    unbounded = [0, 0]
+    for n in range(2, CONE_TOP + 1):
+        apps = sum(unbounded[k] * unbounded[n - 2 - k] for k in range(n - 1))
+        unbounded.append(1 + unbounded[n - 2] + apps)
+    rows[math.inf] = unbounded
+    return rows
+
+
+def test_cone_fill_matches_the_recurrence_in_any_order(reference):
+    rng = random.Random(20141018)
+    for _ in range(3):
+        table = CountTable()
+        queries = [(m, n) for m in CONE_BOUNDS for n in rng.sample(range(CONE_TOP + 1), 8)]
+        rng.shuffle(queries)
+        # Later queries extend rows that earlier ones left partly filled.
+        for m, n in queries:
+            assert table.count(m, n) == reference[m][n], (m, n)
+        for j, row in enumerate(table._rows):
+            assert row == reference[j][: len(row)], j
+        assert table._inf == reference[math.inf][: len(table._inf)]
+
+
+def test_unbounded_count_fills_no_bounded_row():
+    table = CountTable()
+    assert table.count(math.inf, 2000) > 0
+    assert table.max_n == 2000
+    assert table._rows == []
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs interval timers")
+def test_interrupted_fill_leaves_the_table_consistent():
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    sizes = (0, 1, 2, 150, 298, 299, CONE_TOP)
+    bounds = (0, 1, math.inf)
+    fresh = CountTable()
+    want = [fresh.count(m, n) for m in bounds for n in sizes]
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    cut = 0
+    try:
+        # Short delays cut the unbounded row, longer ones the closed cone.
+        for delay in (0.0005, 0.002, 0.02, 0.08):
+            table = CountTable()
+            signal.setitimer(signal.ITIMER_REAL, delay)
+            try:
+                table.count(0, CONE_TOP)
+            except Interrupted:
+                cut += 1
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            # A cut fill claims no size it did not finish.
+            filled = table.max_n
+            assert filled <= CONE_TOP
+            assert table.count_row(math.inf, filled) == fresh.count_row(math.inf, filled)
+            assert [table.count(m, n) for m in bounds for n in sizes] == want
+            assert table.max_n == fresh.max_n
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert cut
+
+
+def test_threads_share_a_fresh_table():
+    queries = [(0, CONE_TOP), (math.inf, CONE_TOP + 2), (1, CONE_TOP - 2)]
+    fresh = CountTable()
+    want = [fresh.count(m, n) for m, n in queries]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for _ in range(3):
+            table = CountTable()
+            start = threading.Barrier(len(queries))
+
+            def query(m, n):
+                start.wait(timeout=30)
+                return table.count(m, n)
+
+            with ThreadPoolExecutor(len(queries)) as pool:
+                futures = [pool.submit(query, m, n) for m, n in queries]
+                assert [f.result(timeout=120) for f in futures] == want
+            assert table._inf == fresh._inf
+            assert table._rows == fresh._rows
+    finally:
+        sys.setswitchinterval(interval)
