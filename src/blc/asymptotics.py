@@ -9,10 +9,11 @@ chain reported by ``constants``.  Each finite free-index bound m has
 its own discriminant polynomial (``bound_discriminant``) whose smallest
 positive root ``sigma(m)`` decreases to rho as m grows.
 
-Root isolation is exact: sign-change scans and bisection in rational
-arithmetic over the squarefree part, with a Sturm-sequence count
-certifying that no root was missed.  The constant chain is evaluated
-with mpmath at 130-bit working precision and reported as floats.
+Root isolation is exact and in integers only: a Sturm chain of primitive
+integer polynomials, halving until each cell holds one root, then sign
+bisection, at points that share one denominator.  The constant chain is
+evaluated with mpmath (imported on first use) at 130-bit working
+precision and reported as floats.
 """
 
 from __future__ import annotations
@@ -21,9 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Sequence
-
-from mpmath import mp
+from typing import Iterable
 
 from . import counting
 
@@ -123,147 +122,150 @@ def bound_discriminant(m: int) -> IntPolynomial:
 
 
 # ---------------------------------------------------------------------------
-# Exact root isolation: Fraction arithmetic end to end.
+# Exact root isolation in integer arithmetic.
 
 
-def _frac_coeffs(p: IntPolynomial) -> list[Fraction]:
-    return [Fraction(c) for c in p.coeffs]
+def _primitive(cs: list[int]) -> list[int]:
+    """cs without trailing zeros, divided by the gcd of its entries."""
+    while cs and not cs[-1]:
+        cs = cs[:-1]
+    g = math.gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
 
 
-def _eval_fracs(cs: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(cs):
-        acc = acc * x + c
-    return acc
-
-
-def _divmod_fracs(num: Sequence[Fraction], den: Sequence[Fraction]):
-    """Polynomial division over the rationals; coefficient lists ascending."""
-    rem = list(num)
-    quot = [Fraction(0)] * max(0, len(rem) - len(den) + 1)
-    lead = den[-1]
-    for shift in range(len(rem) - len(den), -1, -1):
-        c = rem[shift + len(den) - 1] / lead
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    """Primitive part of the remainder of a by b.  Scaling the dividend
+    by |lc(b)| before each step keeps it a positive multiple of the
+    remainder over the rationals."""
+    scale, sign, d = abs(b[-1]), (1 if b[-1] > 0 else -1), len(b) - 1
+    rem = list(a)
+    for top in range(len(rem) - 1, d - 1, -1):
+        c = rem.pop() * sign
         if c:
-            quot[shift] = c
-            for k, d in enumerate(den):
-                rem[shift + k] -= c * d
-    while rem and not rem[-1]:
-        rem.pop()
-    return quot, rem
+            rem = [scale * r for r in rem]
+            for i in range(d):
+                rem[top - d + i] -= c * b[i]
+    return _primitive(rem)
 
 
-def _squarefree_part(p: IntPolynomial) -> IntPolynomial:
-    """p divided by gcd(p, p'): the same roots, every one simple."""
-    a = _frac_coeffs(p)
-    b = _frac_coeffs(p.derivative())
-    while b:
-        _, r = _divmod_fracs(a, b)
-        a, b = b, r
-    if len(a) <= 1:
-        return p  # p was already squarefree (gcd is constant)
-    quot, rem = _divmod_fracs(_frac_coeffs(p), a)
-    assert not rem
-    denom = math.lcm(*(c.denominator for c in quot))
-    ints = [int(c * denom) for c in quot]
-    common = 0
-    for c in ints:
-        common = math.gcd(common, c)
-    if common > 1:
-        ints = [c // common for c in ints]
-    if ints[-1] < 0:
-        ints = [-c for c in ints]
-    return IntPolynomial(ints)
+def _divide(a: list[int], g: list[int]) -> list[int]:
+    """a / g, for a primitive g that divides a over the rationals; by
+    Gauss's lemma the quotient has integer coefficients."""
+    rem = list(a)
+    quot = [0] * (len(a) - len(g) + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        c = quot[shift] = rem[shift + len(g) - 1] // g[-1]
+        for i, gi in enumerate(g):
+            rem[shift + i] -= c * gi
+    return quot
 
 
-def _sturm_chain(q: IntPolynomial) -> list[list[Fraction]]:
-    """Sturm sequence of a squarefree polynomial."""
-    chain = [_frac_coeffs(q)]
-    deriv = _frac_coeffs(q.derivative())
+def _sturm_chain(p: IntPolynomial) -> list[list[int]]:
+    """Sturm chain of the squarefree part of p.  The chain of p itself,
+    each member a positive multiple of the one over the rationals, ends
+    in g = gcd(p, p'); dividing every member by g leaves a chain whose
+    first member p / g has the roots of p, every one simple."""
+    chain = [list(p.coeffs)]
+    deriv = _primitive(list(p.derivative().coeffs))
     if deriv:
         chain.append(deriv)
     while len(chain[-1]) > 1:
-        _, rem = _divmod_fracs(chain[-2], chain[-1])
+        rem = _pseudo_remainder(chain[-2], chain[-1])
         if not rem:
-            break
+            g = chain[-1]
+            return [_divide(cs, g) for cs in chain]
         chain.append([-c for c in rem])
     return chain
 
 
-def _variations(chain: list[list[Fraction]], x: Fraction) -> int:
-    signs = []
-    for cs in chain:
-        v = _eval_fracs(cs, x)
-        if v:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+def _scale(lo, hi, tolerance) -> tuple[int, int, int, int]:
+    """[lo, hi] on one integer scale: lo = x_lo / den, hi = x_hi / den.
+    Halving [lo, hi] until its cells are no wider than ``tolerance`` ends
+    at cells ``finest`` wide, and every point that halving visits,
+    midpoints of the last cells included, is an integer over den."""
+    a, b, eps = Fraction(lo), Fraction(hi), Fraction(tolerance)
+    if a > b:
+        raise ValueError("need lo <= hi")
+    if eps <= 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    halvings = max(math.ceil((b - a) / eps) - 1, 0).bit_length()
+    den = math.lcm(a.denominator, b.denominator) << (halvings + 1)
+    x_lo, x_hi = int(a * den), int(b * den)
+    return x_lo, x_hi, den, (x_hi - x_lo) >> halvings
+
+
+def _sign(cs: list[int], x: int, den: int) -> int:
+    """Sign of the polynomial cs at x / den: that of the integer
+    den**degree * cs(x / den), by homogeneous Horner evaluation."""
+    acc, w = cs[-1], 1
+    for c in cs[-2::-1]:
+        w *= den
+        acc = acc * x + c * w
+    return (acc > 0) - (acc < 0)
+
+
+def _variations(chain: list[list[int]], x: int, den: int) -> tuple[int, int]:
+    """Sign variations of a Sturm chain at x / den, and the sign of its
+    first member there."""
+    signs = [_sign(cs, x, den) for cs in chain]
+    nonzero = [s for s in signs if s]
+    return sum(s != t for s, t in zip(nonzero, nonzero[1:])), signs[0]
+
+
+def _bisect(q: list[int], a: int, b: int, den: int, finest: int, sign_a: int) -> int:
+    """Numerator over den of the one root of q in (a / den, b / den),
+    where q has sign sign_a just right of a / den: the point it sits on
+    if bisection visits it, else the midpoint of its cell that is
+    ``finest`` wide."""
+    while b - a > finest:
+        x = (a + b) // 2
+        s = _sign(q, x, den)
+        if not s:
+            return x
+        if s == sign_a:
+            a = x
+        else:
+            b = x
+    return (a + b) // 2
 
 
 def sturm_root_count(p: IntPolynomial, lo, hi) -> int:
     """Number of distinct real roots of p in the half-open interval
     (lo, hi], multiplicity ignored.  Exact."""
-    a, b = Fraction(lo), Fraction(hi)
-    if a > b:
-        raise ValueError("need lo <= hi")
-    chain = _sturm_chain(_squarefree_part(p))
-    return _variations(chain, a) - _variations(chain, b)
-
-
-def _bisect_fracs(q: IntPolynomial, lo: Fraction, hi: Fraction, eps: Fraction) -> Fraction:
-    """Refine a sign-change bracket of q down to width eps."""
-    negative_low = q(lo) < 0
-    while hi - lo > eps:
-        mid = (lo + hi) / 2
-        v = q(mid)
-        if v == 0:
-            return mid
-        if (v < 0) == negative_low:
-            lo = mid
-        else:
-            hi = mid
-    return (lo + hi) / 2
+    x_lo, x_hi, den, _ = _scale(lo, hi, 1)  # only the ends are used
+    chain = _sturm_chain(p)
+    return _variations(chain, x_lo, den)[0] - _variations(chain, x_hi, den)[0]
 
 
 def real_roots(p: IntPolynomial, lo, hi, tolerance: float = 1e-12) -> list[float]:
     """All distinct real roots of p in [lo, hi], ascending, each within
     ``tolerance`` of the true value.
 
-    Scans the squarefree part for sign changes on a rational grid and
-    bisects each bracket; a Sturm count certifies that the scan found
-    every root, and the grid is refined if the two disagree (so a
-    passing return is complete, not merely probable).
+    Cells (x, y] of [lo, hi] are halved until a Sturm count shows one
+    root in each, which is then bisected on the sign of p.  A root is
+    exact when a point the halving visits hits it, else the midpoint of
+    the first halving cell no wider than ``tolerance`` that holds it
+    (whatever route led there); roots closer than that may share it.
     """
     if not p.coeffs:
         raise ValueError("the zero polynomial vanishes everywhere")
-    a, b = Fraction(lo), Fraction(hi)
-    if a > b:
-        raise ValueError("need lo <= hi")
-    q = _squarefree_part(p)
-    chain = _sturm_chain(q)
-    expected = _variations(chain, a) - _variations(chain, b)
-    if q(a) == 0:
-        expected += 1  # Sturm counts (a, b]; include the left endpoint
-    if a == b:
-        return [float(a)] if expected else []
-    eps = Fraction(tolerance)
-    grid = 128
-    for _ in range(8):
-        step = (b - a) / grid
-        points = [a + k * step for k in range(grid + 1)]
-        values = [q(x) for x in points]
-        exact = [points[k] for k, v in enumerate(values) if v == 0]
-        brackets = [
-            (points[k], points[k + 1])
-            for k in range(grid)
-            if values[k] != 0 and values[k + 1] != 0 and (values[k] > 0) != (values[k + 1] > 0)
-        ]
-        if len(exact) + len(brackets) == expected:
-            found = exact + [_bisect_fracs(q, x0, x1, eps) for x0, x1 in brackets]
-            return [float(r) for r in sorted(found)]
-        grid *= 4
-    raise ArithmeticError(
-        f"sign scan found fewer roots than the Sturm count ({expected}) on [{lo}, {hi}]"
-    )
+    x_lo, x_hi, den, finest = _scale(lo, hi, tolerance)
+    chain = _sturm_chain(p)
+    v_lo, s_lo = _variations(chain, x_lo, den)
+    roots = [] if s_lo else [x_lo]
+    cells = [(x_lo, x_hi, v_lo, *_variations(chain, x_hi, den))]
+    while cells:  # depth first, left half first: roots come out ascending
+        a, b, v_a, v_b, s_b = cells.pop()
+        inside = v_a - v_b
+        if inside == 1:
+            roots.append(_bisect(chain[0], a, b, den, finest, -s_b) if s_b else b)
+        elif inside and b - a <= finest:
+            roots += [(a + b) // 2] * inside
+        elif inside:
+            x = (a + b) // 2
+            v, s = _variations(chain, x, den)
+            cells += [(x, b, v, v_b, s_b), (a, x, v_a, v, s)]
+    return [x / den for x in roots]
 
 
 def sigma(m: int, tolerance: float = 1e-12) -> float:
@@ -281,15 +283,14 @@ def sigma(m: int, tolerance: float = 1e-12) -> float:
 # ---------------------------------------------------------------------------
 # The constant chain.
 
-_RHO_BRACKET = (Fraction(2, 5), Fraction(3, 5))
-
 
 @lru_cache(maxsize=None)
 def _rho_exact(bits: int = 140) -> Fraction:
     """The dominant singularity as a Fraction within 2**-bits."""
-    lo, hi = _RHO_BRACKET
-    assert SINGULARITY_POLY(lo) > 0 > SINGULARITY_POLY(hi)
-    return _bisect_fracs(SINGULARITY_POLY, lo, hi, Fraction(1, 2**bits))
+    q = list(SINGULARITY_POLY.coeffs)
+    x_lo, x_hi, den, finest = _scale(Fraction(2, 5), Fraction(3, 5), Fraction(1, 2**bits))
+    assert _sign(q, x_lo, den) > 0 > _sign(q, x_hi, den)
+    return Fraction(_bisect(q, x_lo, x_hi, den, finest, 1), den)
 
 
 @dataclass(frozen=True)
@@ -338,6 +339,7 @@ def constants(tolerance: float = 1e-12) -> AsymptoticReport:
     sextic carries at z = 1, and the same value is DISCRIMINANT_LIMIT's
     derivative at rho.
     """
+    from mpmath import mp
     roots = real_roots(SINGULARITY_POLY, -4, 2, tolerance)
     rho_exact = _rho_exact()
     with mp.workprec(130):
@@ -385,6 +387,7 @@ def convergence_series(
     """
     if max_n < 2:
         raise ValueError(f"need max_n >= 2, got {max_n}")
+    from mpmath import mp
     tbl = table or counting.shared_table()
     bounds = sorted(set(m_values), key=lambda m: (m == math.inf, m))
     rho_exact = _rho_exact()

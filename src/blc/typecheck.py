@@ -15,8 +15,6 @@ free_count 0.
 
 from __future__ import annotations
 
-import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Optional, Union
 
@@ -77,12 +75,6 @@ def _solve(term: Term, free_count: int):
         kids.append(pair)
         return v
 
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     def occurs(v: int, w: int) -> bool:
         # Does variable v occur in the structure rooted at w?  The
         # visited set matters: arrow merges can leave transient cycles
@@ -90,7 +82,7 @@ def _solve(term: Term, free_count: int):
         todo = [w]
         visited = set()
         while todo:
-            u = find(todo.pop())
+            u = _find(parent, todo.pop())
             if u == v:
                 return True
             if u in visited:
@@ -106,7 +98,7 @@ def _solve(term: Term, free_count: int):
         queue = [(a, b)]
         while queue:
             x, y = queue.pop()
-            x, y = find(x), find(y)
+            x, y = _find(parent, x), _find(parent, y)
             if x == y:
                 continue
             kx, ky = kids[x], kids[y]
@@ -135,9 +127,9 @@ def _solve(term: Term, free_count: int):
         # constraint set to be unsatisfiable that unify cannot notice.
         color: dict[int, int] = {}  # 1 on the current path, 2 finished
         for v0 in range(len(parent)):
-            if color.get(find(v0), 0) == 2:
+            if color.get(_find(parent, v0), 0) == 2:
                 continue
-            stack: list[tuple[int, bool]] = [(find(v0), False)]
+            stack: list[tuple[int, bool]] = [(_find(parent, v0), False)]
             while stack:
                 v, leaving = stack.pop()
                 if leaving:
@@ -152,8 +144,8 @@ def _solve(term: Term, free_count: int):
                 stack.append((v, True))
                 pair = kids[v]
                 if pair is not None:
-                    stack.append((find(pair[0]), False))
-                    stack.append((find(pair[1]), False))
+                    stack.append((_find(parent, pair[0]), False))
+                    stack.append((_find(parent, pair[1]), False))
         return True
 
     ctx = [fresh() for _ in range(free_count)]
@@ -376,5 +368,7 @@ def count_typable(
         hi = min(lo + step, total + 1)
         chunks.append((m, n, lo, hi))
         lo = hi
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs, initializer=_census_init, initargs=(n,)) as pool:
         return sum(pool.map(_census_chunk, chunks))

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from blc.asymptotics import (
     SINGULARITY_POLY,
     ConvergencePoint,
     IntPolynomial,
+    _rho_exact,
     bound_discriminant,
     constants,
     convergence_series,
@@ -24,6 +27,26 @@ RHO = 0.50930812702423735719
 GROWTH = 1.9634479540759639412
 ROOTS_ON_MINUS4_2 = (-3.6681000043307677, -0.6238451419857256, RHO, 1.0)
 C = 1.021874073
+
+# Exact outputs of the root isolation, recorded from the earlier
+# rational-arithmetic implementation; the integer one must return the
+# very same floats (and the very same Fraction for rho).
+SIGMA_0_TO_30 = (
+    1.0, 0.5773502691895374, 0.5361465868031701, 0.5214089433425215,
+    0.5150840087167126, 0.5121460363311598, 0.5107246377451702,
+    0.5100214198123467, 0.509669101892996, 0.5094913194702713,
+    0.5094012433978605, 0.509355499911635, 0.5093322398538476,
+    0.5093204038253134, 0.5093143785729808, 0.5093113106772762,
+    0.5093097483991187, 0.5093089527804295, 0.50930854758235,
+    0.5093083412161832, 0.5093082361131565, 0.5093081825839363,
+    0.5093081553209231, 0.509308141436577, 0.5093081343643462,
+    0.5093081307627472, 0.5093081289282964, 0.5093081279942453,
+    0.5093081275176701, 0.5093081272757445, 0.5093081271520532,
+)
+SEXTIC_ROOTS = (-3.6681000043307677, -0.6238451419857256, 0.5093081270239281, 0.9999999999998863)
+RHO_EXACT = Fraction(
+    1774679807548185304911177778806557284324847, 3484491437270409865864955980101306485309440
+)
 
 
 class TestIntPolynomial:
@@ -122,6 +145,85 @@ def test_real_roots_sees_even_multiplicity():
 def test_real_roots_rejects_zero_polynomial():
     with pytest.raises(ValueError):
         real_roots(IntPolynomial(), 0, 1)
+
+
+def test_real_roots_rejects_non_positive_tolerance():
+    p = IntPolynomial((-1, 2))
+    for tolerance in (0, -1e-12):
+        with pytest.raises(ValueError):
+            real_roots(p, 0, 1, tolerance)
+
+
+def _from_roots(*roots):
+    """The integer polynomial whose roots are exactly ``roots``."""
+    p = IntPolynomial((1,))
+    for r in map(Fraction, roots):
+        p = p * IntPolynomial((-r.numerator, r.denominator))
+    return p
+
+
+def test_exact_outputs_are_unchanged():
+    assert tuple(sigma(m) for m in range(31)) == SIGMA_0_TO_30
+    assert tuple(real_roots(SINGULARITY_POLY, -4, 2)) == SEXTIC_ROOTS
+    assert constants().real_roots == SEXTIC_ROOTS
+    assert _rho_exact() == RHO_EXACT
+    assert abs(RHO_EXACT - Fraction(RHO)) < 1e-16
+    for m in range(31):
+        assert real_roots(bound_discriminant(m), 0, 1)[0] == SIGMA_0_TO_30[m]
+
+
+def test_real_roots_separates_roots_closer_than_a_scan_grid():
+    # 2**-30 apart: no sign scan on a grid of up to 2**21 points sees both
+    near = Fraction(1, 3) + Fraction(1, 2**30)
+    p = _from_roots(Fraction(1, 3), near)
+    roots = real_roots(p, 0, 1)
+    assert len(roots) == 2
+    assert abs(Fraction(roots[0]) - Fraction(1, 3)) <= 1e-12
+    assert abs(Fraction(roots[1]) - near) <= 1e-12
+    assert sturm_root_count(p, 0, 1) == 2
+    assert sturm_root_count(p, 0, Fraction(1, 3)) == 1
+    assert sturm_root_count(p, Fraction(1, 3), near) == 1
+    # at a coarser tolerance both fall in one final cell and share its midpoint
+    coarse = real_roots(p, 0, 1, 2**-20)
+    assert coarse[0] == coarse[1] and abs(Fraction(coarse[0]) - near) <= 2**-20
+
+
+def test_real_roots_returns_a_visited_dyadic_root_exactly():
+    # 3/8 and 5 / 2**35 are points that halving [0, 1] visits before its
+    # cells reach the tolerance; 1/2 + 2**-45 is not, and comes back as
+    # the midpoint of the 2**-40 cell holding it
+    p = _from_roots(Fraction(5, 2**35), Fraction(3, 8), Fraction(1, 2) + Fraction(1, 2**45))
+    roots = real_roots(p, 0, 1)
+    assert roots[:2] == [5 / 2**35, 0.375]
+    assert roots[2] == 0.5 + 2**-41
+    assert sturm_root_count(p, 0, Fraction(3, 8)) == 2
+    assert sturm_root_count(p, Fraction(3, 8), 1) == 1
+
+
+def test_real_roots_on_non_dyadic_endpoints():
+    p = _from_roots(Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+    # both ends are roots; the midpoint 1/2 is the first point visited
+    assert real_roots(p, Fraction(1, 3), Fraction(2, 3)) == [1 / 3, 0.5, 2 / 3]
+    assert sturm_root_count(p, Fraction(1, 3), Fraction(2, 3)) == 2  # (1/3, 2/3]
+    # neither end is a root, and no root is a visited point
+    roots = real_roots(p, Fraction(1, 7), Fraction(5, 7))
+    assert len(roots) == 3
+    for found, exact in zip(roots, (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))):
+        assert abs(Fraction(found) - exact) <= 1e-12
+    assert sturm_root_count(p, Fraction(1, 7), Fraction(5, 7)) == 3
+    assert sturm_root_count(p, Fraction(1, 7), Fraction(1, 3)) == 1
+
+
+def test_import_leaves_mpmath_and_process_pools_unloaded():
+    # mpmath serves only constants/convergence_series and the process
+    # pool only count_typable with jobs > 1; both load on first use
+    code = (
+        "import sys, blc, blc.cli; "
+        "print([m for m in ('mpmath', 'concurrent.futures') if m in sys.modules])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_sigma_golden_values():
