@@ -212,21 +212,45 @@ def _variations(chain: list[list[int]], x: int, den: int) -> tuple[int, int]:
     return sum(s != t for s, t in zip(nonzero, nonzero[1:])), signs[0]
 
 
-def _bisect(q: list[int], a: int, b: int, den: int, finest: int, sign_a: int) -> int:
-    """Numerator over den of the one root of q in (a / den, b / den),
-    where q has sign sign_a just right of a / den: the point it sits on
-    if bisection visits it, else the midpoint of its cell that is
-    ``finest`` wide."""
+def _simplest_between(a: int, b: int, den: int) -> tuple[int, int]:
+    """The rational with the smallest denominator in the open interval
+    (a / den, b / den), as (numerator, denominator): continued-fraction
+    terms are shared by both ends until an integer fits strictly
+    between them."""
+    if a < 0 < b:
+        return 0, 1
+    if b <= 0:
+        num, d = _simplest_between(-b, -a, den)
+        return -num, d
+    p, q, r, s = a, den, b, den  # the interval is (p / q, r / s); s == 0 is +inf
+    h_prev, h, k_prev, k = 0, 1, 1, 0  # the last two convergents
+    while True:
+        whole = p // q
+        if (whole + 1) * s < r:
+            whole += 1
+            return whole * h + h_prev, whole * k + k_prev
+        h_prev, h, k_prev, k = h, whole * h + h_prev, k, whole * k + k_prev
+        p, q, r, s = s, r - whole * s, q, p - whole * q
+
+
+def _bisect(q: list[int], a: int, b: int, den: int, finest: int, sign_a: int) -> Fraction:
+    """The one root of q in (a / den, b / den), where q has sign sign_a
+    just right of a / den: the point it sits on if bisection visits it,
+    else the simplest rational of its cell that is ``finest`` wide if
+    that is a root, else the midpoint of that cell."""
     while b - a > finest:
         x = (a + b) // 2
         s = _sign(q, x, den)
         if not s:
-            return x
+            return Fraction(x, den)
         if s == sign_a:
             a = x
         else:
             b = x
-    return (a + b) // 2
+    num, d = _simplest_between(a, b, den)
+    if not _sign(q, num, d):
+        return Fraction(num, d)
+    return Fraction((a + b) // 2, den)
 
 
 def sturm_root_count(p: IntPolynomial, lo, hi) -> int:
@@ -243,29 +267,31 @@ def real_roots(p: IntPolynomial, lo, hi, tolerance: float = 1e-12) -> list[float
 
     Cells (x, y] of [lo, hi] are halved until a Sturm count shows one
     root in each, which is then bisected on the sign of p.  A root is
-    exact when a point the halving visits hits it, else the midpoint of
-    the first halving cell no wider than ``tolerance`` that holds it
-    (whatever route led there); roots closer than that may share it.
+    exact when a point the halving visits hits it, or when it is the
+    rational with the smallest denominator in the first halving cell no
+    wider than ``tolerance`` that holds it; else it is that cell's
+    midpoint (whatever route led there).  Roots closer than that may
+    share one midpoint.
     """
     if not p.coeffs:
         raise ValueError("the zero polynomial vanishes everywhere")
     x_lo, x_hi, den, finest = _scale(lo, hi, tolerance)
     chain = _sturm_chain(p)
     v_lo, s_lo = _variations(chain, x_lo, den)
-    roots = [] if s_lo else [x_lo]
+    roots = [] if s_lo else [Fraction(x_lo, den)]
     cells = [(x_lo, x_hi, v_lo, *_variations(chain, x_hi, den))]
     while cells:  # depth first, left half first: roots come out ascending
         a, b, v_a, v_b, s_b = cells.pop()
         inside = v_a - v_b
         if inside == 1:
-            roots.append(_bisect(chain[0], a, b, den, finest, -s_b) if s_b else b)
+            roots.append(_bisect(chain[0], a, b, den, finest, -s_b) if s_b else Fraction(b, den))
         elif inside and b - a <= finest:
-            roots += [(a + b) // 2] * inside
+            roots += [Fraction((a + b) // 2, den)] * inside
         elif inside:
             x = (a + b) // 2
             v, s = _variations(chain, x, den)
             cells += [(x, b, v, v_b, s_b), (a, x, v_a, v, s)]
-    return [x / den for x in roots]
+    return [float(x) for x in roots]
 
 
 def sigma(m: int, tolerance: float = 1e-12) -> float:
@@ -290,7 +316,7 @@ def _rho_exact(bits: int = 140) -> Fraction:
     q = list(SINGULARITY_POLY.coeffs)
     x_lo, x_hi, den, finest = _scale(Fraction(2, 5), Fraction(3, 5), Fraction(1, 2**bits))
     assert _sign(q, x_lo, den) > 0 > _sign(q, x_hi, den)
-    return Fraction(_bisect(q, x_lo, x_hi, den, finest, 1), den)
+    return _bisect(q, x_lo, x_hi, den, finest, 1)
 
 
 @dataclass(frozen=True)

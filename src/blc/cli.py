@@ -153,16 +153,17 @@ def _add_format_option(sp) -> None:
     )
 
 
-def _add_guard_option(sp) -> None:
+def _add_guard_option(
+    sp,
+    default: int = 2000,
+    cost: str = "an --all count of size n costs O(n^2), a bounded one about n^3/27",
+) -> None:
     sp.add_argument(
         "--max-n",
         type=int,
-        default=2000,
+        default=default,
         metavar="N",
-        help=(
-            "refuse sizes above N; an --all count of size n costs O(n^2), "
-            "a bounded one about n^3/27 (default 2000)"
-        ),
+        help=f"refuse sizes above N; {cost} (default {default})",
     )
 
 
@@ -331,8 +332,18 @@ def build_parser() -> argparse.ArgumentParser:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--closed", action="store_true", help="closed terms only")
     group.add_argument("--all", action="store_true", help="all terms, typable in some context")
-    sp.add_argument("--jobs", type=int, default=1, metavar="J", help="worker processes (default 1)")
-    _add_guard_option(sp)
+    sp.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        metavar="J",
+        help="accepted but advisory: the census runs in one process (default 1)",
+    )
+    _add_guard_option(
+        sp,
+        default=32,
+        cost="the census is exhaustive, and its cost grows about 1.8x per size",
+    )
     _add_format_option(sp)
     sp.set_defaults(func=_cmd_count_typable)
 

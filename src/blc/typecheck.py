@@ -11,6 +11,10 @@ Free indices type against a context of fresh variables, one slot per
 index 1..free_count, so ``is_typable(t, max_free_index(t))`` asks
 whether any context at all types the term.  Closed terms use
 free_count 0.
+
+``count_typable`` shares only the type language with inference: it
+counts a whole size class by one depth-first walk that types each term
+while it builds it, with a union-find that backtracking can undo.
 """
 
 from __future__ import annotations
@@ -18,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from . import counting, enumeration
-from .terms import Abs, App, FreeIndexExceeded, Index, Term, max_free_index
+from . import counting
+from .terms import Abs, App, FreeIndexExceeded, Index, Term
 
 __all__ = [
     "TVar",
@@ -314,27 +318,115 @@ def format_type(ty: SimpleType) -> str:
     return "".join(out)
 
 
-def _census_range(m: int, n: int, lo: int, hi: int, table: counting.CountTable) -> int:
-    hits = 0
-    for k in range(lo, hi):
-        term = enumeration.unrank(m, n, k, table=table)
-        if is_typable(term, max_free_index(term)):
-            hits += 1
-    return hits
+def _typed_walk(n: int, live: list[list[bool]] | None) -> int:
+    """Number of typable terms of size ``n``, by one depth-first walk.
 
+    The walk builds terms in preorder from a stack of holes, each a
+    (size, expected type, binder types) triple, and types every node as
+    it places it: an abstraction unifies the expected type with a fresh
+    ``a -> b`` and opens a body hole of type ``b`` under binder ``a``,
+    an application splits the size between a function hole of type
+    ``a -> expected`` and an argument hole of type ``a``, and an index
+    unifies its binder's type with the expected one.  Only indices can
+    fail, and a failure cuts off every completion of the prefix at once.
 
-_worker_table: counting.CountTable | None = None
+    ``live`` is None for the all-terms column, where a free index takes
+    its context slot's type: a fresh variable created at the slot's
+    first use and dropped when the walk backs out of it.  For the closed
+    column ``live[d][s]`` says whether any term of size s has its free
+    indices in 1..d, and holes of empty classes are never opened.
 
+    Types are cells: ``[None]`` is an unbound variable, ``[t]`` one
+    bound to t, and a tuple ``(domain, codomain)`` an arrow.  Bindings
+    are the union-find's links; ``resolve`` follows them without
+    compressing, every binding passes an occurs check, and each is put
+    on a trail so backtracking can unbind it.
+    """
+    trail: list[list] = []
+    context: dict[int, object] = {}
+    holes: list[tuple] = [(n, [None], ())]
 
-def _census_init(max_n: int) -> None:
-    # Each worker builds its own table; cheaper than pickling one over.
-    global _worker_table
-    _worker_table = counting.CountTable(max_n)
+    def resolve(t):
+        while type(t) is list and t[0] is not None:
+            t = t[0]
+        return t
 
+    def bind(var: list, t) -> bool:
+        # t is resolved; var must not occur in it
+        if type(t) is tuple:
+            todo = list(t)
+            while todo:
+                u = resolve(todo.pop())
+                if u is var:
+                    return False
+                if type(u) is tuple:
+                    todo += u
+        var[0] = t
+        trail.append(var)
+        return True
 
-def _census_chunk(args: tuple[int, int, int, int]) -> int:
-    m, n, lo, hi = args
-    return _census_range(m, n, lo, hi, _worker_table)
+    def unify(x, y) -> bool:
+        x, y = resolve(x), resolve(y)
+        if x is y:
+            return True
+        if type(x) is list:
+            return bind(x, y)
+        if type(y) is list:
+            return bind(y, x)
+        return unify(x[0], y[0]) and unify(x[1], y[1])
+
+    def undo(mark: int) -> None:
+        while len(trail) > mark:
+            trail.pop()[0] = None
+
+    def walk() -> int:
+        if not holes:
+            return 1
+        hole = holes.pop()
+        size, want, binders = hole
+        depth = len(binders)
+        mark = len(trail)
+        found = 0
+        i = size - 1  # the one index of this size
+        if i <= depth:
+            if unify(binders[-i], want):
+                found += walk()
+            undo(mark)
+        elif live is None:  # a free index: unify with its context slot
+            slot = i - depth
+            if slot in context:
+                if unify(context[slot], want):
+                    found += walk()
+                undo(mark)
+            else:  # first use: the slot's fresh variable takes want
+                context[slot] = want
+                found += walk()
+                del context[slot]
+        body = size - 2
+        if body >= 2 and (live is None or live[depth + 1][body]):
+            t = resolve(want)
+            if type(t) is tuple:
+                dom, cod = t
+            else:
+                dom, cod = [None], [None]
+                bind(t, (dom, cod))
+            holes.append((body, cod, binders + (dom,)))
+            found += walk()
+            holes.pop()
+            undo(mark)
+        for fun in range(2, size - 3):
+            arg = size - 2 - fun
+            if live is not None and not (live[depth][fun] and live[depth][arg]):
+                continue
+            a = [None]
+            holes.append((arg, a, binders))
+            holes.append((fun, (a, want), binders))
+            found += walk()
+            del holes[-2:]
+        holes.append(hole)
+        return found
+
+    return walk()
 
 
 def count_typable(
@@ -348,27 +440,18 @@ def count_typable(
 
     ``closed=True`` counts closed terms only; ``closed=False`` counts
     all terms, where an open term counts as typable when some context
-    for its free indices types it.  The census walks the full size
-    class through unrank, so it is exact but exponential in n.
-    ``jobs`` > 1 splits the rank range over that many processes.
+    for its free indices types it.  The census is one depth-first walk
+    over the size class that types each term while it builds it, so an
+    untypable prefix is cut off once for all its completions; it is
+    exact, and its cost grows about 1.8 times per size.  The closed
+    column reads ``table`` (default: the shared one) to skip empty
+    subterm classes.  ``jobs`` is accepted but advisory: the walk runs
+    in the calling thread.
     """
     if n < 2:
         return 0
+    if not closed:
+        return _typed_walk(n, None)
     tbl = table or counting.shared_table()
-    m = 0 if closed else n - 1
-    total = tbl.count(m, n)
-    if total == 0:
-        return 0
-    if jobs is None or jobs <= 1 or total < 4 * jobs:
-        return _census_range(m, n, 1, total + 1, tbl)
-    chunks = []
-    step = total // (jobs * 4) + 1
-    lo = 1
-    while lo <= total:
-        hi = min(lo + step, total + 1)
-        chunks.append((m, n, lo, hi))
-        lo = hi
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=jobs, initializer=_census_init, initargs=(n,)) as pool:
-        return sum(pool.map(_census_chunk, chunks))
+    live = [[tbl.count(d, s) > 0 for s in range(n + 1)] for d in range(n // 2 + 2)]
+    return _typed_walk(n, live) if live[0][n] else 0

@@ -191,7 +191,7 @@ def test_criterion_7_typable_census():
     unrestricted = [count_typable(n, closed=False, jobs=jobs, table=table) for n in range(29)]
     elapsed = time.perf_counter() - start
     ok = closed == TYPABLE_CLOSED and unrestricted == TYPABLE_ALL and elapsed < 600.0
-    detail = "both columns exact for n <= 28, %.0fs with %d worker(s)" % (elapsed, jobs)
+    detail = "both columns exact for n <= 28, %.0fs in one process (jobs=%d is advisory)" % (elapsed, jobs)
     if closed != TYPABLE_CLOSED:
         detail = "closed column mismatch: %r" % (closed,)
     elif unrestricted != TYPABLE_ALL:

@@ -12,6 +12,7 @@ from blc.asymptotics import (
     ConvergencePoint,
     IntPolynomial,
     _rho_exact,
+    _simplest_between,
     bound_discriminant,
     constants,
     convergence_series,
@@ -30,7 +31,9 @@ C = 1.021874073
 
 # Exact outputs of the root isolation, recorded from the earlier
 # rational-arithmetic implementation; the integer one must return the
-# very same floats (and the very same Fraction for rho).
+# very same floats (and the very same Fraction for rho), except that the
+# sextic's rational root z = 1, which no halving point hits, now comes
+# back exact instead of as 0.9999999999998863.
 SIGMA_0_TO_30 = (
     1.0, 0.5773502691895374, 0.5361465868031701, 0.5214089433425215,
     0.5150840087167126, 0.5121460363311598, 0.5107246377451702,
@@ -43,7 +46,7 @@ SIGMA_0_TO_30 = (
     0.5093081307627472, 0.5093081289282964, 0.5093081279942453,
     0.5093081275176701, 0.5093081272757445, 0.5093081271520532,
 )
-SEXTIC_ROOTS = (-3.6681000043307677, -0.6238451419857256, 0.5093081270239281, 0.9999999999998863)
+SEXTIC_ROOTS = (-3.6681000043307677, -0.6238451419857256, 0.5093081270239281, 1.0)
 RHO_EXACT = Fraction(
     1774679807548185304911177778806557284324847, 3484491437270409865864955980101306485309440
 )
@@ -214,9 +217,32 @@ def test_real_roots_on_non_dyadic_endpoints():
     assert sturm_root_count(p, Fraction(1, 7), Fraction(1, 3)) == 1
 
 
+def test_rational_roots_come_back_exact():
+    # 1/3, 1/2 and 2/3 are not halving points of [1/7, 5/7] but are the
+    # simplest rationals of their final cells
+    p = _from_roots(Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
+    assert real_roots(p, Fraction(1, 7), Fraction(5, 7)) == [1 / 3, 0.5, 2 / 3]
+    assert real_roots(_from_roots(Fraction(-22, 7)), -4, 2) == [-22 / 7]
+    assert real_roots(SINGULARITY_POLY, 0, 2)[-1] == 1.0
+    # an irrational root is still found to the tolerance
+    (root,) = real_roots(IntPolynomial((-2, 0, 1)), 1, 2)
+    assert abs(root - math.sqrt(2)) <= 1e-12
+
+
+def test_simplest_between_has_the_smallest_denominator():
+    for den in range(1, 13):
+        for a in range(-30, 30):
+            for b in range(a + 1, a + 14):
+                lo, hi = Fraction(a, den), Fraction(b, den)
+                num, d = _simplest_between(a, b, den)
+                assert lo < Fraction(num, d) < hi
+                smallest = next(q for q in range(1, d + 1) if math.floor(lo * q) + 1 < hi * q)
+                assert d == smallest
+
+
 def test_import_leaves_mpmath_and_process_pools_unloaded():
-    # mpmath serves only constants/convergence_series and the process
-    # pool only count_typable with jobs > 1; both load on first use
+    # mpmath serves only constants/convergence_series and loads on first
+    # use; no module of the package uses a process pool at all
     code = (
         "import sys, blc, blc.cli; "
         "print([m for m in ('mpmath', 'concurrent.futures') if m in sys.modules])"

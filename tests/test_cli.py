@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -202,6 +203,21 @@ def test_count_typable_all(capsys):
     payload = json.loads(out)
     assert payload["count"] == 22
     assert payload["closed"] is False
+
+
+def test_count_typable_has_its_own_guard(capsys):
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "count-typable", "--size", "40", "--all")
+    assert code == 2
+    assert out == ""
+    assert "--max-n guard (32)" in err
+    assert time.perf_counter() - start < 1.0
+    # an explicit --max-n lifts the guard: this call gets as far as --jobs
+    code, _, err = run_cli(
+        capsys, "count-typable", "--size", "40", "--all", "--max-n", "40", "--jobs", "0"
+    )
+    assert code == 2
+    assert "--jobs" in err and "guard" not in err
 
 
 def test_asymptotics_json(capsys):

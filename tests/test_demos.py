@@ -22,7 +22,7 @@ note on c_tilde:
   c = c_tilde / Gamma(-1/2) with Gamma(-1/2) = -2*sqrt(pi) ~ -3.5449077. c_tilde here evaluates to about -3.6224493, roughly 4*pi times the -0.288265354 sometimes quoted for this coefficient; the quoted value is inconsistent with the chain above, while c itself is confirmed by the exact counts (count(inf, 600) * rho**600 * 600**1.5 agrees with c to about 0.2%).
 
 singularity polynomial coefficients (ascending): (1, -2, -1, 4, -5, 2, 1)
-real roots: [-3.6681000043307677, -0.6238451419857256, 0.5093081270239281, 0.9999999999998863]
+real roots: [-3.6681000043307677, -0.6238451419857256, 0.5093081270239281, 1.0]
 
 after removing the root at 1: (-1, 1, 2, -2, 3, 1)
 

@@ -1,8 +1,12 @@
 import math
+import signal
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from blc.counting import count
+from blc.counting import CountTable, count
 from blc.enumeration import unrank
 from blc.terms import Abs, App, FreeIndexExceeded, Index, decode, max_free_index, parse_text
 from blc.typecheck import (
@@ -205,6 +209,7 @@ def test_census_against_brute_force(codes_by_size):
 
 
 def test_census_parallel_matches_serial():
+    # jobs is advisory: the walk runs in the calling thread either way
     assert count_typable(13, jobs=2) == TYPABLE_CLOSED[13]
     assert count_typable(12, closed=False, jobs=2) == TYPABLE_ALL[12]
 
@@ -219,3 +224,63 @@ def test_census_trivial_sizes():
     assert count_typable(0) == 0
     assert count_typable(1) == 0
     assert count_typable(0, closed=False) == 0
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs interval timers")
+def test_interrupted_census_runs_again_exactly():
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    cut = 0
+    try:
+        # The first delay can land in the closed column's cone fill, the
+        # others land inside the walks.
+        for delay, closed in ((0.0005, True), (0.01, True), (0.05, False)):
+            table = CountTable()
+            signal.setitimer(signal.ITIMER_REAL, delay)
+            try:
+                count_typable(24, closed=closed, table=table)
+            except Interrupted:
+                cut += 1
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            assert count_typable(24, closed=True, table=table) == TYPABLE_CLOSED[24]
+            assert count_typable(22, closed=False, table=table) == TYPABLE_ALL[22]
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert cut
+
+
+def test_threads_census_both_columns_at_once():
+    table = CountTable()
+    start = threading.Barrier(2)
+
+    def census(n, closed):
+        start.wait(timeout=30)
+        return count_typable(n, closed=closed, table=table)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            closed = pool.submit(census, 23, True)
+            anyctx = pool.submit(census, 21, False)
+            assert closed.result(timeout=120) == TYPABLE_CLOSED[23]
+            assert anyctx.result(timeout=120) == TYPABLE_ALL[21]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_alternating_columns_on_one_table():
+    # no state survives a walk: each call agrees with the goldens
+    # whichever column ran before it on the same table
+    table = CountTable()
+    for n in range(2, 19):
+        first = n % 2 == 0
+        for closed in (first, not first):
+            want = TYPABLE_CLOSED if closed else TYPABLE_ALL
+            assert count_typable(n, closed=closed, table=table) == want[n]
