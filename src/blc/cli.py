@@ -208,6 +208,8 @@ def _cmd_sample(args) -> int:
     _check_guard(args.size, args)
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
+    if args.typable and args.max_attempts < 1:
+        raise UsageError(f"--max-attempts must be >= 1, got {args.max_attempts}")
     m = _bound(args)
     state = Sampler(args.seed)
     terms = []

@@ -41,6 +41,12 @@ def _convolution(row: list[int], base: int) -> int:
     return 2 * half + (row[mid] * row[mid] if base % 2 == 0 else 0)
 
 
+def check_bound(m: int | float) -> None:
+    """Raise ValueError unless ``m`` is a nonnegative int or math.inf."""
+    if m != math.inf and not (isinstance(m, int) and m >= 0):
+        raise ValueError(f"free-index bound must be a nonnegative int or math.inf, got {m!r}")
+
+
 class CountTable:
     """Memo table for the counting recurrence, filled on demand.
 
@@ -109,8 +115,7 @@ class CountTable:
         """Exact count for free-index bound ``m`` (math.inf allowed)."""
         if n < 0:
             raise ValueError(f"size must be >= 0, got {n}")
-        if m != math.inf and not (isinstance(m, int) and m >= 0):
-            raise ValueError(f"free-index bound must be a nonnegative int or math.inf, got {m!r}")
+        check_bound(m)
         if m >= n - 1:
             if n >= len(self._inf):
                 self.ensure(n)

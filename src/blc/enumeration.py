@@ -10,7 +10,13 @@ uniform terms by drawing uniform ranks.
 
 Ranks are plain Python ints, so classes with astronomically many terms
 (sizes in the hundreds) work unchanged.  Both directions run a work
-stack rather than recursing.
+stack rather than recursing.  Block masses fall off towards both ends
+of an application block run, so ``unrank`` scans the blocks from
+whichever end its residual rank is nearer, and ``rank`` sums whichever
+side of a term's block is shorter; the rank order is the same either
+way.  ``sample_typable`` runs the same unrank loop with typing on: each
+node is typed as it is placed, and a draw is dropped at its first
+failed unification.
 """
 
 from __future__ import annotations
@@ -19,7 +25,8 @@ import math
 import random
 
 from . import counting
-from .terms import Abs, App, FreeIndexExceeded, Index, Term, max_free_index
+from .terms import Abs, App, FreeIndexExceeded, Index, Term, max_free_index, size
+from .typecheck import resolve, unify
 
 __all__ = [
     "NoTerms",
@@ -49,8 +56,108 @@ def _bound_label(m: int | float) -> str:
     return "unbounded" if m == math.inf else f"free indices <= {m}"
 
 
-# Work-stack tags for unrank.
-_EXPAND, _MK_ABS, _MK_APP = 0, 1, 2
+# Work-stack markers: rebuild an abstraction or an application from
+# the finished subterms on the output stack.
+_MK_ABS, _MK_APP = ("abs",), ("app",)
+
+
+def _unrank(tbl: counting.CountTable, m: int | float, n: int, k: int, typed: bool) -> Term | None:
+    """The k-th term of the non-empty (m, n) class, for k in range.
+
+    The caller has called ``tbl.count(m, n)``, which filled the cone of
+    classes this loop reads.  With ``typed`` the loop also types each
+    node as it places it, and returns None at the first failed
+    unification, when the term has no simple type.
+    """
+    # Every class visited below is (m + d, s) with s <= n - 2d, which
+    # lies in the cone of (m, n): the caller's validated count filled it
+    # (or, for m >= n - 1, the unbounded row through n).  Rows only grow
+    # and a fill publishes an entry only once computed, so the rows can
+    # be read directly, with no lock and no validation per step.  A
+    # bounded row j also holds the unbounded values at sizes <= j + 1,
+    # so one row serves every size of its class's blocks.
+    inf, rows = tbl._inf, tbl._rows
+    if m > n - 1:
+        m = n - 1  # same class; keeps the bound a small int
+    m0 = m
+    out: list[Term] = []
+    # Typed mode: binder types, outermost first (the binders of an item
+    # at bound m are the first m - m0), free slots' types, and a trail
+    # that is never undone, since a draw that fails is dropped whole.
+    binders: list = []
+    context: dict[int, object] = {}
+    trail: list = []
+    work: list[tuple] = [(m, n, k, [None] if typed else None)]
+    while work:
+        item = work.pop()
+        if item is _MK_ABS:
+            out[-1] = Abs(out[-1])
+            continue
+        if item is _MK_APP:
+            arg = out.pop()
+            out[-1] = App(out[-1], arg)
+            continue
+        m, n, k, want = item
+        if typed:
+            del binders[m - m0 :]
+        # Items pop in preorder, function part before argument.
+        while True:
+            # Abstractions occupy ranks 1..count(m+1, n-2), applications
+            # the block after them, and the variable (present exactly
+            # when m >= n - 1) the final rank.
+            saturated = m >= n - 1
+            row = inf if saturated else rows[m]
+            total = row[n]
+            if saturated and k == total:
+                if typed:
+                    depth = m - m0
+                    if n - 1 <= depth:
+                        var = binders[depth - n + 1]
+                    else:  # a free slot's variable is want itself at first use
+                        var = context.setdefault(n - 1 - depth, want)
+                    if not unify(var, want, trail):
+                        return None
+                out.append(Index(n - 1))
+                break
+            base = n - 2
+            body_total = (inf if m >= n - 4 else rows[m + 1])[base]
+            if k <= body_total:
+                work.append(_MK_ABS)
+                if typed:
+                    t = resolve(want)
+                    if type(t) is tuple:
+                        dom, want = t
+                    else:  # a fresh arrow of fresh cells needs no occurs check
+                        dom, want = [None], [None]
+                        t[0] = (dom, want)
+                    binders.append(dom)
+                m, n = m + 1, base
+                continue
+            # Application blocks by function size 2..base-2; scan from
+            # the nearer end of the block run.
+            h = k - body_total
+            app_total = total - body_total - saturated
+            if 2 * h <= app_total:
+                fun, step = 2, 1
+            else:  # count the rank from the top, then turn it back
+                fun, step, h = base - 2, -1, app_total - h + 1
+            while True:
+                arg_total = row[base - fun]
+                block = row[fun] * arg_total
+                if h <= block:
+                    break
+                h -= block
+                fun += step
+            if step < 0:
+                h = block - h + 1
+            fun_rank, arg_rank = divmod(h - 1, arg_total)
+            work.append(_MK_APP)
+            a = [None] if typed else None
+            work.append((m, base - fun, arg_rank + 1, a))
+            if typed:
+                want = (a, want)
+            n, k = fun, fun_rank + 1
+    return out[0]
 
 
 def unrank(m: int | float, n: int, k: int, *, table: counting.CountTable | None = None) -> Term:
@@ -65,49 +172,7 @@ def unrank(m: int | float, n: int, k: int, *, table: counting.CountTable | None 
         raise NoTerms(f"no terms of size {n} ({_bound_label(m)})")
     if not 1 <= k <= total:
         raise OutOfRange(f"rank {k} outside 1..{total} for size {n} ({_bound_label(m)})")
-    if m > n - 1:
-        m = n - 1  # same class; keeps the bound a small int
-    cnt = tbl.count
-    out: list[Term] = []
-    work: list[tuple] = [(_EXPAND, m, n, k)]
-    while work:
-        item = work.pop()
-        tag = item[0]
-        if tag == _MK_ABS:
-            out[-1] = Abs(out[-1])
-            continue
-        if tag == _MK_APP:
-            arg = out.pop()
-            out[-1] = App(out[-1], arg)
-            continue
-        _, m, n, k = item
-        while True:
-            # Abstractions occupy ranks 1..count(m+1, n-2), applications
-            # the block after them, and the variable (present exactly
-            # when m >= n - 1) the final rank.
-            if m >= n - 1 and k == cnt(m, n):
-                out.append(Index(n - 1))
-                break
-            body_total = cnt(m + 1, n - 2)
-            if k <= body_total:
-                work.append((_MK_ABS,))
-                m, n = m + 1, n - 2
-                continue
-            h = k - body_total
-            base = n - 2
-            fun_size = 0
-            while True:
-                arg_total = cnt(m, base - fun_size)
-                block = cnt(m, fun_size) * arg_total
-                if h <= block:
-                    fun_rank, arg_rank = divmod(h - 1, arg_total)
-                    work.append((_MK_APP,))
-                    work.append((_EXPAND, m, base - fun_size, arg_rank + 1))
-                    n, k = fun_size, fun_rank + 1
-                    break
-                h -= block
-                fun_size += 1
-    return out[0]
+    return _unrank(tbl, m, n, k, False)
 
 
 # Work-stack tags for rank.
@@ -117,13 +182,20 @@ _DOWN, _AFTER_ABS, _AFTER_APP = 0, 1, 2
 def rank(m: int | float, term: Term, *, table: counting.CountTable | None = None) -> int:
     """Position of ``term`` in its size class at bound m; inverse of unrank.
 
-    Raises ``FreeIndexExceeded`` if the term has a free index above m.
+    Raises ``ValueError`` for a bound that is not a nonnegative int or
+    math.inf, and ``FreeIndexExceeded`` if the term has a free index
+    above m.
     """
-    tbl = table or counting.shared_table()
+    counting.check_bound(m)
     free = max_free_index(term)
     if free > m:
         raise FreeIndexExceeded(f"term has free index {free}, above the bound {m}")
-    cnt = tbl.count
+    tbl = table or counting.shared_table()
+    n = size(term)
+    tbl.count(m, n)  # fills the cone read below, as in _unrank
+    if m > n - 1:
+        m = n - 1
+    inf, rows = tbl._inf, tbl._rows
     work: list[tuple] = [(_DOWN, term, m)]
     # Finished subterms as (size, rank) pairs, innermost last.
     done: list[tuple[int, int]] = []
@@ -132,9 +204,9 @@ def rank(m: int | float, term: Term, *, table: counting.CountTable | None = None
         if tag == _DOWN:
             tp = type(node)
             if tp is Index:
-                n = node.i + 1
-                # The variable is the last rank of its own class.
-                done.append((n, cnt(bound, n)))
+                # The variable is the last rank of its own class, which
+                # is saturated because the index lies within the bound.
+                done.append((node.i + 1, inf[node.i + 1]))
             elif tp is Abs:
                 work.append((_AFTER_ABS, None, bound))
                 work.append((_DOWN, node.body, bound + 1))
@@ -149,11 +221,21 @@ def rank(m: int | float, term: Term, *, table: counting.CountTable | None = None
             arg_size, arg_rank = done.pop()
             fun_size, fun_rank = done.pop()
             base = fun_size + arg_size
-            h = 0
-            for j in range(fun_size):
-                h += cnt(bound, j) * cnt(bound, base - j)
-            h += (fun_rank - 1) * cnt(bound, arg_size) + arg_rank
-            done.append((base + 2, cnt(bound + 1, base) + h))
+            n = base + 2
+            saturated = bound >= n - 1
+            row = inf if saturated else rows[bound]
+            body_total = (inf if bound >= n - 4 else rows[bound + 1])[base]
+            h = (fun_rank - 1) * row[arg_size] + arg_rank
+            # Sum the blocks before this one, or those after it, whichever
+            # run is shorter.
+            if 2 * fun_size <= base:
+                for j in range(2, fun_size):
+                    h += row[j] * row[base - j]
+            else:
+                h += row[n] - body_total - saturated - row[fun_size] * row[arg_size]
+                for j in range(fun_size + 1, base - 1):
+                    h -= row[j] * row[base - j]
+            done.append((n, body_total + h))
     return done[0][1]
 
 
@@ -212,20 +294,24 @@ def sample_typable(
 ) -> Term:
     """Uniform term from the typable fraction of the (m, n) class.
 
-    Rejection-sieves plain uniform draws through the type checker, so
-    the result is uniform over exactly the typable terms.  Raises
-    ``AttemptsExhausted`` after ``max_attempts`` failed draws (typable
-    terms get scarce as n grows, so the limit matters).
+    Rejection-samples uniform ranks, so the result is uniform over
+    exactly the typable terms.  Each draw is typed while it is unranked
+    and dropped at its first failed unification, which accepts exactly
+    the ranks that typing the finished term would accept, and draws the
+    same ranks in the same order.  Raises ``ValueError`` if
+    ``max_attempts`` < 1, and ``AttemptsExhausted`` after
+    ``max_attempts`` failed draws (typable terms get scarce as n grows,
+    so the limit matters).
     """
-    from .typecheck import is_typable
-
+    if max_attempts < 1:
+        raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     tbl = table or counting.shared_table()
     total = tbl.count(m, n)
     if total == 0:
         raise NoTerms(f"no terms of size {n} ({_bound_label(m)})")
     for _ in range(max_attempts):
-        term = unrank(m, n, state.rank_below(total), table=tbl)
-        if is_typable(term, max_free_index(term)):
+        term = _unrank(tbl, m, n, state.rank_below(total), True)
+        if term is not None:
             return term
     raise AttemptsExhausted(
         f"no typable term of size {n} ({_bound_label(m)}) in {max_attempts} draws"

@@ -14,7 +14,10 @@ free_count 0.
 
 ``count_typable`` shares only the type language with inference: it
 counts a whole size class by one depth-first walk that types each term
-while it builds it, with a union-find that backtracking can undo.
+while it builds it, with a union-find that backtracking can undo.  That
+cell unifier (``resolve``/``bind``/``unify``) lives at module level and
+is shared with ``enumeration.sample_typable``, whose typed unrank types
+each draw while it builds it and drops the draw at its first clash.
 """
 
 from __future__ import annotations
@@ -318,6 +321,70 @@ def format_type(ty: SimpleType) -> str:
     return "".join(out)
 
 
+# The cell unifier shared by the census walk and the typed unrank of
+# ``enumeration.sample_typable``.  A type is a cell: ``[None]`` is an
+# unbound variable, ``[t]`` a variable bound to t, and a tuple
+# ``(domain, codomain)`` an arrow.  Bindings are the union-find's links;
+# ``resolve`` follows them without compressing, and every binding passes
+# an occurs check.  Arrows are never merged, only their components
+# unified, so no cycle can form and no acyclicity pass is needed.
+
+
+def resolve(t):
+    """The arrow or unbound variable that ``t`` stands for."""
+    while type(t) is list and t[0] is not None:
+        t = t[0]
+    return t
+
+
+def bind(var: list, t, trail: list) -> bool:
+    """Bind the unbound ``var`` to the resolved ``t``, unless var occurs in t."""
+    if type(t) is tuple:
+        todo = list(t)
+        while todo:
+            u = todo.pop()
+            while type(u) is list and u[0] is not None:
+                u = u[0]
+            if u is var:
+                return False
+            if type(u) is tuple:
+                todo += u
+    var[0] = t
+    trail.append(var)
+    return True
+
+
+def unify(x, y, trail: list) -> bool:
+    """Unify two cells, appending each binding to ``trail``; False on a clash.
+
+    On failure the bindings made so far stay in place (and on the trail).
+    Iterative: pairs of arrow components wait on a stack, codomains
+    below domains.
+    """
+    todo: list = []
+    while True:
+        # resolve, inlined: this loop runs for every index a walk places
+        while type(x) is list and x[0] is not None:
+            x = x[0]
+        while type(y) is list and y[0] is not None:
+            y = y[0]
+        if x is not y:
+            if type(x) is list:
+                if not bind(x, y, trail):
+                    return False
+            elif type(y) is list:
+                if not bind(y, x, trail):
+                    return False
+            else:
+                todo += (x[1], y[1])
+                x, y = x[0], y[0]
+                continue
+        if not todo:
+            return True
+        y = todo.pop()
+        x = todo.pop()
+
+
 def _typed_walk(n: int, live: list[list[bool]] | None) -> int:
     """Number of typable terms of size ``n``, by one depth-first walk.
 
@@ -336,44 +403,12 @@ def _typed_walk(n: int, live: list[list[bool]] | None) -> int:
     column ``live[d][s]`` says whether any term of size s has its free
     indices in 1..d, and holes of empty classes are never opened.
 
-    Types are cells: ``[None]`` is an unbound variable, ``[t]`` one
-    bound to t, and a tuple ``(domain, codomain)`` an arrow.  Bindings
-    are the union-find's links; ``resolve`` follows them without
-    compressing, every binding passes an occurs check, and each is put
-    on a trail so backtracking can unbind it.
+    Types are the cells of ``unify``; every binding goes on a trail, so
+    backtracking can unbind it.
     """
     trail: list[list] = []
     context: dict[int, object] = {}
     holes: list[tuple] = [(n, [None], ())]
-
-    def resolve(t):
-        while type(t) is list and t[0] is not None:
-            t = t[0]
-        return t
-
-    def bind(var: list, t) -> bool:
-        # t is resolved; var must not occur in it
-        if type(t) is tuple:
-            todo = list(t)
-            while todo:
-                u = resolve(todo.pop())
-                if u is var:
-                    return False
-                if type(u) is tuple:
-                    todo += u
-        var[0] = t
-        trail.append(var)
-        return True
-
-    def unify(x, y) -> bool:
-        x, y = resolve(x), resolve(y)
-        if x is y:
-            return True
-        if type(x) is list:
-            return bind(x, y)
-        if type(y) is list:
-            return bind(y, x)
-        return unify(x[0], y[0]) and unify(x[1], y[1])
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
@@ -389,13 +424,13 @@ def _typed_walk(n: int, live: list[list[bool]] | None) -> int:
         found = 0
         i = size - 1  # the one index of this size
         if i <= depth:
-            if unify(binders[-i], want):
+            if unify(binders[-i], want, trail):
                 found += walk()
             undo(mark)
         elif live is None:  # a free index: unify with its context slot
             slot = i - depth
             if slot in context:
-                if unify(context[slot], want):
+                if unify(context[slot], want, trail):
                     found += walk()
                 undo(mark)
             else:  # first use: the slot's fresh variable takes want
@@ -409,7 +444,7 @@ def _typed_walk(n: int, live: list[list[bool]] | None) -> int:
                 dom, cod = t
             else:
                 dom, cod = [None], [None]
-                bind(t, (dom, cod))
+                bind(t, (dom, cod), trail)
             holes.append((body, cod, binders + (dom,)))
             found += walk()
             holes.pop()

@@ -154,6 +154,31 @@ def test_sample_typable_filter(capsys):
         assert is_typable(term, max_free_index(term))
 
 
+def test_sample_typable_output_is_unchanged(capsys):
+    # recorded before sample_typable typed its draws during unrank
+    code, out, _ = run_cli(
+        capsys, "sample", "--size", "60", "--free", "0", "--typable", "--count", "5", "--seed", "42"
+    )
+    assert code == 0
+    assert out == (
+        "000000010001010101001000111000100011001000100001010110000010\n"
+        "000100100000010000000011001010101000000000000001101010110110\n"
+        "000000010100010000010101001010110000000000010100000000010110\n"
+        "000000010001101100001000001000010100001010010111100111110110\n"
+        "000000011110011110010011001111000011001000110000111000101110\n"
+    )
+
+
+def test_sample_rejects_non_positive_max_attempts(capsys):
+    for bad in ("0", "-5"):
+        code, out, err = run_cli(
+            capsys, "sample", "--size", "30", "--free", "0", "--typable", "--max-attempts", bad
+        )
+        assert code == 2
+        assert out == ""
+        assert f"--max-attempts must be >= 1, got {bad}" in err
+
+
 def test_sample_empty_class(capsys):
     code, _, err = run_cli(capsys, "sample", "--size", "5", "--free", "0")
     assert code == 3

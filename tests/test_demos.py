@@ -1,5 +1,7 @@
-"""Every demo script runs to completion, and the asymptotics demo prints
-its recorded output byte for byte (constants, roots and sigma values)."""
+"""Every demo script runs to completion, and the enumeration and
+asymptotics demos print their recorded output byte for byte (unrank
+lists, seeded draws, typable samples, constants, roots and sigma
+values)."""
 
 import os
 import subprocess
@@ -10,6 +12,34 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+ENUMERATION_OUTPUT = """\
+closed terms of size 10 (6 of them):
+  1: \\\\\\\\1          0000000010
+  2: \\\\\\3           0000001110
+  3: \\\\(1 1)        0000011010
+  4: \\(1 \\1)        0001100010
+  5: \\(\\1 1)        0001001010
+  6: (\\1 \\1)        0100100010
+
+unrank(0, 26, 12345) = \\\\(\\(\\1 (1 \\3)) 1)
+rank of that term    = 12345
+
+five draws at (m, n) = (0, 30), seed 11:
+  000100011001000001100110101010
+  010100000100000010100000100010
+  000101100000010001110110001010
+  000100011001011010010110101010
+  010000110000100011100010011010
+same seed reproduces them: True
+
+12000 draws over the 6-term class (expect ~2000 each):
+  [1982, 1979, 2128, 2031, 1975, 1905]
+
+a random typable closed term of size 30:
+  \\(\\1 \\\\\\\\(1 (4 2)))
+  type: a -> (b -> c) -> d -> b -> (c -> e) -> e
+"""
 
 ASYMPTOTICS_OUTPUT = """\
 rho     = 0.5093081270242373
@@ -71,3 +101,9 @@ def test_asymptotics_demo_output_is_unchanged():
     proc = run_demo(ROOT / "demos" / "05_asymptotics.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ASYMPTOTICS_OUTPUT
+
+
+def test_enumeration_demo_output_is_unchanged():
+    proc = run_demo(ROOT / "demos" / "03_enumerate_and_sample.py")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ENUMERATION_OUTPUT

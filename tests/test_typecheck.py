@@ -17,6 +17,8 @@ from blc.typecheck import (
     infer,
     infer_annotated,
     is_typable,
+    resolve,
+    unify,
 )
 
 IDENTITY = Abs(Index(1))
@@ -284,3 +286,29 @@ def test_alternating_columns_on_one_table():
         for closed in (first, not first):
             want = TYPABLE_CLOSED if closed else TYPABLE_ALL
             assert count_typable(n, closed=closed, table=table) == want[n]
+
+
+def test_shared_unify_handles_deep_arrow_chains():
+    # a1 -> a2 -> ... -> a5000 -> x against b1 -> ... -> b5000 -> y, built
+    # inside out; a recursive unify would exceed the recursion limit
+    depth = 5000
+    assert depth > sys.getrecursionlimit() // 2
+
+    def chain(leaf):
+        cells = [[None] for _ in range(depth)]
+        t = leaf
+        for cell in reversed(cells):
+            t = (cell, t)
+        return cells, t
+
+    x, y = [None], [None]
+    left_cells, left = chain(x)
+    right_cells, right = chain(y)
+    trail: list = []
+    assert unify(left, right, trail)
+    assert len(trail) == depth + 1
+    assert resolve(x) is resolve(y)
+    assert all(resolve(a) is resolve(b) for a, b in zip(left_cells, right_cells))
+    # the occurs check walks the whole chain too: x cannot take a type
+    # that contains x 5000 arrows down
+    assert not unify(resolve(x), left, [])
