@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from blc import __version__
 from blc.cli import main
 from blc.terms import decode, max_free_index, size
 from blc.typecheck import is_typable
@@ -208,6 +209,26 @@ def test_typecheck_json(capsys):
     payload = json.loads(out)
     assert payload["typable"] is False
     assert payload["type"] is None
+
+
+def test_typecheck_json_golden(capsys):
+    for text, line in [
+        (
+            "\\\\\\((3 1) (2 1))",
+            '"typable": true, "type": "(a -> b -> c) -> (a -> b) -> a -> c"}',
+        ),
+        ("\\\\2", '"typable": true, "type": "a -> b -> a"}'),
+        ("\\(1 1)", '"typable": false, "type": null}'),
+    ]:
+        code, out, _ = run_cli(capsys, "typecheck", "--text", text, "--format", "json")
+        assert code == 0
+        assert out == f'{{"metadata": {{"version": "{__version__}"}}, {line}\n'
+
+
+def test_typecheck_deep_abstraction_chain(capsys):
+    code, out, _ = run_cli(capsys, "typecheck", "--text", "\\" * 20000 + "1")
+    assert code == 0
+    assert out.count(" -> ") == 20000 and out.endswith("\n")
 
 
 def test_typecheck_malformed(capsys):

@@ -1,13 +1,15 @@
+import hashlib
 import math
 import signal
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from blc.counting import CountTable, count
-from blc.enumeration import unrank
+from blc.enumeration import Sampler, sample_typable, unrank
 from blc.terms import Abs, App, FreeIndexExceeded, Index, decode, max_free_index, parse_text
 from blc.typecheck import (
     Arrow,
@@ -187,6 +189,95 @@ def test_soundness_replay_exhaustive(codes_by_size):
             term = decode(bits)
             typable = check_soundness(term, free)
             assert typable == is_typable(term, free)
+
+
+def _chain(types):
+    # One arrow through all the types, so format_type names a variable the
+    # same wherever it recurs: the text pins which types share variables.
+    types = list(types)
+    out = types.pop()
+    while types:
+        out = Arrow(types.pop(), out)
+    return out
+
+
+def _typing_line(term, free_count):
+    typing = infer(term, free_count)
+    annotated = infer_annotated(term, free_count)
+    assert is_typable(term, free_count) == (typing is not None)
+    if typing is None:
+        assert annotated is None
+        return b"-\n"
+    again, annotations = annotated
+    assert again == typing
+    whole = _chain(typing.context + (typing.type,))
+    every = _chain(typing.context + (typing.type,) + annotations)
+    return f"{format_type(whole)} | {format_type(every)}\n".encode()
+
+
+def test_typings_and_annotations_are_unchanged(codes_by_size):
+    # sha256 of the context-then-type and of context, type and every
+    # annotation, of each term for n = 2..14 in its own context, and of
+    # seeded typable draws; recorded before infer moved to the shared
+    # cell unifier
+    digest = hashlib.sha256()
+    for n in range(2, 15):
+        for bits, free in codes_by_size[n]:
+            digest.update(_typing_line(decode(bits), free))
+    assert digest.hexdigest() == "1f37140516f9b01a8862250231c649ff76a7612950f992c6b9244fa3db174701"
+    digest = hashlib.sha256()
+    for m in (0, math.inf):
+        state = Sampler(2024)
+        for n in (40, 80, 120):
+            for _ in range(5):
+                term = sample_typable(m, n, state)
+                digest.update(_typing_line(term, max_free_index(term)))
+    assert digest.hexdigest() == "7370b5bb0c1ec166407da046f767e2b47af59067badb061b96f810928d0f1ff7"
+
+
+def _abstraction_chain(depth):
+    term = Index(1)
+    for _ in range(depth):
+        term = Abs(term)
+    return term
+
+
+def _open_spine(apps):
+    # ((1 2) 2) ... 2: index 1 takes apps arguments of index 2's type
+    term = Index(1)
+    for _ in range(apps):
+        term = App(term, Index(2))
+    return term
+
+
+def _timed(call, *args):
+    start = time.perf_counter()
+    result = call(*args)
+    assert time.perf_counter() - start < 1.0, call.__name__
+    return result
+
+
+def test_deep_terms_type_in_linear_time():
+    # far deeper than the recursion limit; a quadratic solver (say, one
+    # that resolves ever longer chains of variable links) takes seconds
+    depth = 20000
+    typing = _timed(infer, _abstraction_chain(depth))
+    assert typing.context == ()
+    ty, arrows = typing.type, 0
+    while type(ty) is Arrow:
+        ty, arrows = ty.codomain, arrows + 1
+    assert arrows == depth
+
+    spine = _open_spine(5000)
+    typing = _timed(infer, spine, 2)
+    fun_ty, arg_ty = typing.context
+    for _ in range(5000):
+        assert fun_ty.domain == arg_ty
+        fun_ty = fun_ty.codomain
+    assert fun_ty == typing.type
+    typing, annotations = _timed(infer_annotated, spine, 2)
+    assert len(annotations) == 10001 and annotations[0] == typing.type
+    assert _timed(is_typable, spine, 2)
 
 
 def test_census_golden_prefix():
