@@ -3,8 +3,9 @@
 infer() runs unification-based type reconstruction and returns the
 principal typing (most general: every other valid typing is a
 substitution instance), or None when no simple type exists.
-count_typable() combines enumeration with the checker to count how
-many terms of each size are typable.
+count_typable() counts how many terms of each size are typable by
+building the whole size class depth first and typing each term while it
+builds it.
 """
 
 from blc import count, count_typable, infer, is_typable, parse_text

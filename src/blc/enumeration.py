@@ -26,7 +26,7 @@ import random
 
 from . import counting
 from .terms import Abs, App, FreeIndexExceeded, Index, Term, max_free_index, size
-from .typecheck import resolve, unify
+from .typecheck import split_arrow, unify
 
 __all__ = [
     "NoTerms",
@@ -124,12 +124,7 @@ def _unrank(tbl: counting.CountTable, m: int | float, n: int, k: int, typed: boo
             if k <= body_total:
                 work.append(_MK_ABS)
                 if typed:
-                    t = resolve(want)
-                    if type(t) is tuple:
-                        dom, want = t
-                    else:  # a fresh arrow of fresh cells needs no occurs check
-                        dom, want = [None], [None]
-                        t[0] = (dom, want)
+                    dom, want = split_arrow(want, trail)
                     binders.append(dom)
                 m, n = m + 1, base
                 continue

@@ -1,23 +1,27 @@
 """Simple-type inference for de Bruijn terms, plus typability censuses.
 
-Types are type variables and arrows.  Inference is constraint-based:
-every subterm gets a node in a union-find forest, abstraction and
-application impose arrow constraints, and first-order unification with
-an occurs check solves them.  A term is typable iff unification
-succeeds, and the resulting type is principal: every other valid typing
-of the term is a substitution instance of it.
+Types are type variables and arrows.  One engine does all the typing:
+a cell unifier (``resolve``/``bind``/``unify``/``split_arrow``) whose
+cells are the nodes of a union-find, with an occurs check on every
+binding.  Arrows are never merged, so no cycle can form.  Inference
+walks a finished term once in preorder, giving each subterm an
+expected type: an abstraction splits its type into an arrow, an
+application gives its function ``a -> expected`` and its argument
+``a``, and an index unifies its binder's type with the expected one.
+A term is typable iff every unification succeeds, and the resulting
+type is principal: every other valid typing of the term is a
+substitution instance of it.
 
 Free indices type against a context of fresh variables, one slot per
 index 1..free_count, so ``is_typable(t, max_free_index(t))`` asks
 whether any context at all types the term.  Closed terms use
 free_count 0.
 
-``count_typable`` shares only the type language with inference: it
-counts a whole size class by one depth-first walk that types each term
-while it builds it, with a union-find that backtracking can undo.  That
-cell unifier (``resolve``/``bind``/``unify``) lives at module level and
-is shared with ``enumeration.sample_typable``, whose typed unrank types
-each draw while it builds it and drops the draw at its first clash.
+The same rules, on the same unifier, drive ``count_typable``, which
+types each term of a size class while one depth-first walk builds it
+and undoes its bindings from a trail when it backtracks, and the typed
+unrank of ``enumeration.sample_typable``, which types each draw while
+it builds it and drops the draw at its first clash.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from . import counting
-from .terms import Abs, App, FreeIndexExceeded, Index, Term
+from .terms import Abs, App, FreeIndexExceeded, Term, max_free_index
 
 __all__ = [
     "TVar",
@@ -64,205 +68,100 @@ class Typing:
     context: tuple[SimpleType, ...]
 
 
-def _solve(term: Term, free_count: int):
-    """Generate and solve the typing constraints of ``term``.
+def _walk(term: Term, free_count: int):
+    """Type ``term`` in a context of ``free_count`` fresh slots.
 
-    Returns ``(parent, kids, ctx, node_ids, root)`` on success or None
-    on a unification failure.  ``parent``/``kids`` are the union-find
-    forest (kids[v] is None for a variable node, else a (domain,
-    codomain) pair), ``ctx`` lists the context nodes, ``node_ids`` one
-    node per subterm in preorder, ``root`` the whole term's node.
+    One preorder pass by the rules above, over work items (subterm,
+    expected type, depth).  Returns the cells ``(root, context,
+    annotations)``, one annotation per subterm in preorder, or None
+    when the term has no simple type.
     """
-    parent: list[int] = []
-    kids: list[Optional[tuple[int, int]]] = []
-
-    def fresh(pair: Optional[tuple[int, int]] = None) -> int:
-        v = len(parent)
-        parent.append(v)
-        kids.append(pair)
-        return v
-
-    def occurs(v: int, w: int) -> bool:
-        # Does variable v occur in the structure rooted at w?  The
-        # visited set matters: arrow merges can leave transient cycles
-        # (rejected at the end of _solve), and this must still halt.
-        todo = [w]
-        visited = set()
-        while todo:
-            u = _find(parent, todo.pop())
-            if u == v:
-                return True
-            if u in visited:
-                continue
-            visited.add(u)
-            pair = kids[u]
-            if pair is not None:
-                todo.append(pair[0])
-                todo.append(pair[1])
-        return False
-
-    def unify(a: int, b: int) -> bool:
-        queue = [(a, b)]
-        while queue:
-            x, y = queue.pop()
-            x, y = _find(parent, x), _find(parent, y)
-            if x == y:
-                continue
-            kx, ky = kids[x], kids[y]
-            if kx is None:
-                if occurs(x, y):
-                    return False
-                parent[x] = y
-            elif ky is None:
-                if occurs(y, x):
-                    return False
-                parent[y] = x
-            else:
-                # Arrow against arrow: union first so shared structure
-                # is solved once, then recurse on the components.  This
-                # can create a cycle that no variable binding sees (the
-                # occurs checks above only guard var binds), so the
-                # caller must run the acyclicity pass afterwards.
-                parent[x] = y
-                queue.append((kx[0], ky[0]))
-                queue.append((kx[1], ky[1]))
-        return True
-
-    def acyclic() -> bool:
-        # A cycle through the solved forest is an infinite type; with
-        # arrows as the only constructor it is also the only way for a
-        # constraint set to be unsatisfiable that unify cannot notice.
-        color: dict[int, int] = {}  # 1 on the current path, 2 finished
-        for v0 in range(len(parent)):
-            if color.get(_find(parent, v0), 0) == 2:
-                continue
-            stack: list[tuple[int, bool]] = [(_find(parent, v0), False)]
-            while stack:
-                v, leaving = stack.pop()
-                if leaving:
-                    color[v] = 2
-                    continue
-                c = color.get(v, 0)
-                if c == 2:
-                    continue
-                if c == 1:
-                    return False
-                color[v] = 1
-                stack.append((v, True))
-                pair = kids[v]
-                if pair is not None:
-                    stack.append((_find(parent, pair[0]), False))
-                    stack.append((_find(parent, pair[1]), False))
-        return True
-
-    ctx = [fresh() for _ in range(free_count)]
-    node_ids: list[int] = []
-    binders: list[int] = []  # domain node of each enclosing binder
-    results: list[int] = []  # finished subterm nodes
-    work: list = [term]
+    if free_count < 0:
+        raise ValueError(f"free_count must be >= 0, got {free_count}")
+    root: list = [None]
+    context = [[None] for _ in range(free_count)]
+    binders: list = []  # domain of each enclosing abstraction, outermost first
+    annotations: list = []
+    trail: list = []  # never undone: a failed term is dropped whole
+    work: list[tuple] = [(term, root, 0)]
     while work:
-        item = work.pop()
-        tp = type(item)
-        if tp is tuple:
-            if item[0] == 0:  # leave an abstraction
-                _, dom, pos = item
-                body = results.pop()
-                arrow = fresh((dom, body))
-                node_ids[pos] = arrow
-                binders.pop()
-                results.append(arrow)
-            else:  # leave an application
-                _, pos = item
-                arg = results.pop()
-                fun = results.pop()
-                res = fresh()
-                wanted = fresh((arg, res))
-                if not unify(fun, wanted):
-                    return None
-                node_ids[pos] = res
-                results.append(res)
-        elif tp is Index:
-            depth = len(binders)
-            if item.i <= depth:
-                node = binders[depth - item.i]
-            else:
-                slot = item.i - depth
-                if slot > free_count:
-                    raise FreeIndexExceeded(
-                        f"free index {slot} but only {free_count} context slots"
-                    )
-                node = ctx[slot - 1]
-            node_ids.append(node)
-            results.append(node)
-        elif tp is Abs:
-            dom = fresh()
+        t, want, depth = work.pop()
+        del binders[depth:]
+        annotations.append(want)
+        tp = type(t)
+        if tp is Abs:
+            dom, cod = split_arrow(want, trail)
             binders.append(dom)
-            pos = len(node_ids)
-            node_ids.append(-1)  # patched on leave
-            work.append((0, dom, pos))
-            work.append(item.body)
+            work.append((t.body, cod, depth + 1))
+        elif tp is App:
+            a = [None]
+            work.append((t.arg, a, depth))
+            work.append((t.fun, (a, want), depth))
         else:
-            pos = len(node_ids)
-            node_ids.append(-1)
-            work.append((1, pos))
-            work.append(item.arg)
-            work.append(item.fun)
-    if not acyclic():
-        return None
-    return parent, kids, ctx, node_ids, results[0]
+            slot = t.i - depth  # <= 0 for a bound index
+            if slot <= free_count:
+                var = binders[-t.i] if slot <= 0 else context[slot - 1]
+                if unify(var, want, trail):
+                    continue
+                if max_free_index(term) <= free_count:
+                    return None
+            # a free index above the context raises, clash or no clash
+            raise FreeIndexExceeded(
+                f"free index {max_free_index(term)} but only {free_count} context slots"
+            )
+    return root, context, annotations
 
 
-def _find(parent: list[int], v: int) -> int:
-    while parent[v] != v:
-        parent[v] = parent[parent[v]]
-        v = parent[v]
-    return v
+def _read_back(cells) -> list[SimpleType]:
+    """The ``TVar``/``Arrow`` tree of each cell, sharing one numbering.
 
-
-def _resolve(roots, parent, kids) -> dict[int, SimpleType]:
-    """Build SimpleType trees for the representatives of ``roots``.
-
-    Iterative post-order over the solved forest; safe for types as deep
-    as the term that produced them.
+    Variables are numbered 0, 1, ... in first-use order over the cells
+    in turn, each read domain before codomain.  The memo is keyed on
+    the resolved object, so shared structure is built once.
     """
     built: dict[int, SimpleType] = {}
-    for r in roots:
-        stack = [_find(parent, r)]
+    out: list[SimpleType] = []
+    variables = 0
+    for cell in cells:
+        stack = [resolve(cell)]
         while stack:
-            v = stack[-1]
-            if v in built:
+            t = stack[-1]
+            if id(t) in built:
                 stack.pop()
-                continue
-            pair = kids[v]
-            if pair is None:
-                built[v] = TVar(v)
+            elif type(t) is list:  # an unbound variable
+                built[id(t)] = TVar(variables)
+                variables += 1
                 stack.pop()
-                continue
-            dom, cod = _find(parent, pair[0]), _find(parent, pair[1])
-            missing = [w for w in (dom, cod) if w not in built]
-            if missing:
-                stack.extend(missing)
-                continue
-            built[v] = Arrow(built[dom], built[cod])
-            stack.pop()
-    return built
+            else:
+                dom, cod = resolve(t[0]), resolve(t[1])
+                missing = [u for u in (cod, dom) if id(u) not in built]
+                if missing:
+                    stack += missing
+                else:
+                    built[id(t)] = Arrow(built[id(dom)], built[id(cod)])
+                    stack.pop()
+        out.append(built[id(resolve(cell))])
+    return out
 
 
 def is_typable(term: Term, free_count: int = 0) -> bool:
-    return _solve(term, free_count) is not None
+    return _walk(term, free_count) is not None
 
 
 def infer(term: Term, free_count: int = 0) -> Optional[Typing]:
-    """Principal typing of ``term``, or None if it has no simple type."""
-    solved = _solve(term, free_count)
-    if solved is None:
+    """Principal typing of ``term``, or None if it has no simple type.
+
+    Type variables are numbered 0, 1, ... in first-use order: the type
+    first, then the context slots, each read domain before codomain.
+    Raises ``ValueError`` for a negative ``free_count`` and
+    ``FreeIndexExceeded`` for a free index above it.
+    """
+    walked = _walk(term, free_count)
+    if walked is None:
         return None
-    parent, kids, ctx, _, root = solved
-    built = _resolve([root, *ctx], parent, kids)
-    return Typing(
-        built[_find(parent, root)],
-        tuple(built[_find(parent, c)] for c in ctx),
-    )
+    root, context, _ = walked
+    ty, *ctx = _read_back([root, *context])
+    return Typing(ty, tuple(ctx))
 
 
 def infer_annotated(
@@ -271,18 +170,15 @@ def infer_annotated(
     """Like ``infer`` but also returns one type per subterm, in preorder.
 
     The annotations let an external checker replay the typing rules
-    against each node without trusting the solver.
+    against each node without trusting the solver.  They share the
+    typing's variables, numbered on after the context's.
     """
-    solved = _solve(term, free_count)
-    if solved is None:
+    walked = _walk(term, free_count)
+    if walked is None:
         return None
-    parent, kids, ctx, node_ids, root = solved
-    built = _resolve([root, *ctx, *node_ids], parent, kids)
-    typing = Typing(
-        built[_find(parent, root)],
-        tuple(built[_find(parent, c)] for c in ctx),
-    )
-    return typing, tuple(built[_find(parent, v)] for v in node_ids)
+    root, context, annotations = walked
+    ty, *types = _read_back([root, *context, *annotations])
+    return Typing(ty, tuple(types[:free_count])), tuple(types[free_count:])
 
 
 def _var_name(k: int) -> str:
@@ -321,9 +217,9 @@ def format_type(ty: SimpleType) -> str:
     return "".join(out)
 
 
-# The cell unifier shared by the census walk and the typed unrank of
-# ``enumeration.sample_typable``.  A type is a cell: ``[None]`` is an
-# unbound variable, ``[t]`` a variable bound to t, and a tuple
+# The cell unifier shared by inference, the census walk and the typed
+# unrank of ``enumeration.sample_typable``.  A type is a cell: ``[None]``
+# is an unbound variable, ``[t]`` a variable bound to t, and a tuple
 # ``(domain, codomain)`` an arrow.  Bindings are the union-find's links;
 # ``resolve`` follows them without compressing, and every binding passes
 # an occurs check.  Arrows are never merged, only their components
@@ -354,12 +250,29 @@ def bind(var: list, t, trail: list) -> bool:
     return True
 
 
+def split_arrow(want, trail: list) -> tuple:
+    """The (domain, codomain) of the arrow ``want`` stands for.
+
+    An unbound ``want`` is bound, on the trail, to an arrow of two fresh
+    variables, which needs no occurs check.
+    """
+    t = resolve(want)
+    if type(t) is tuple:
+        return t
+    t[0] = ([None], [None])
+    trail.append(t)
+    return t[0]
+
+
 def unify(x, y, trail: list) -> bool:
     """Unify two cells, appending each binding to ``trail``; False on a clash.
 
     On failure the bindings made so far stay in place (and on the trail).
     Iterative: pairs of arrow components wait on a stack, codomains
-    below domains.
+    below domains.  Of two unbound variables ``y`` is bound: the walks
+    pass (binder or context slot, expected type), so the fresh expected
+    cell takes the link, and chains of variable links, which ``resolve``
+    would walk again on every use, do not form.
     """
     todo: list = []
     while True:
@@ -369,11 +282,11 @@ def unify(x, y, trail: list) -> bool:
         while type(y) is list and y[0] is not None:
             y = y[0]
         if x is not y:
-            if type(x) is list:
-                if not bind(x, y, trail):
-                    return False
-            elif type(y) is list:
+            if type(y) is list:
                 if not bind(y, x, trail):
+                    return False
+            elif type(x) is list:
+                if not bind(x, y, trail):
                     return False
             else:
                 todo += (x[1], y[1])
@@ -389,13 +302,11 @@ def _typed_walk(n: int, live: list[list[bool]] | None) -> int:
     """Number of typable terms of size ``n``, by one depth-first walk.
 
     The walk builds terms in preorder from a stack of holes, each a
-    (size, expected type, binder types) triple, and types every node as
-    it places it: an abstraction unifies the expected type with a fresh
-    ``a -> b`` and opens a body hole of type ``b`` under binder ``a``,
-    an application splits the size between a function hole of type
-    ``a -> expected`` and an argument hole of type ``a``, and an index
-    unifies its binder's type with the expected one.  Only indices can
-    fail, and a failure cuts off every completion of the prefix at once.
+    (size, expected type, binder types) triple, and types every node by
+    the rules of inference as it places it; an application tries each
+    split of the size between its function and argument holes.  Only
+    indices can fail, and a failure cuts off every completion of the
+    prefix at once.
 
     ``live`` is None for the all-terms column, where a free index takes
     its context slot's type: a fresh variable created at the slot's
@@ -439,12 +350,7 @@ def _typed_walk(n: int, live: list[list[bool]] | None) -> int:
                 del context[slot]
         body = size - 2
         if body >= 2 and (live is None or live[depth + 1][body]):
-            t = resolve(want)
-            if type(t) is tuple:
-                dom, cod = t
-            else:
-                dom, cod = [None], [None]
-                bind(t, (dom, cod), trail)
+            dom, cod = split_arrow(want, trail)
             holes.append((body, cod, binders + (dom,)))
             found += walk()
             holes.pop()

@@ -14,6 +14,7 @@ from blc.terms import Abs, App, FreeIndexExceeded, Index, decode, max_free_index
 from blc.typecheck import (
     Arrow,
     TVar,
+    Typing,
     count_typable,
     format_type,
     infer,
@@ -75,8 +76,9 @@ def test_untypable_golden(term):
 
 def test_infinite_type_through_arrow_merging():
     # \f.\z. ((\a.\b. a) (f z)) (f (\y. f)): forces f's type to contain
-    # itself without any single variable binding ever seeing the cycle,
-    # so this exercises the final acyclicity pass specifically
+    # itself.  A unifier that merges two arrows can close that cycle
+    # without any variable binding seeing it; the cell unifier never
+    # merges arrows, so the occurs check in bind catches the cycle
     trap = Abs(
         Abs(
             App(
@@ -107,6 +109,36 @@ def test_free_index_above_count_raises():
         infer(Index(2), 1)
     with pytest.raises(FreeIndexExceeded):
         is_typable(Index(1))
+
+
+def test_free_index_above_count_raises_after_a_clash_too():
+    # the clash in the self-application comes before index 3 is reached
+    term = App(SELF_APPLY, Index(3))
+    for call in (is_typable, infer, infer_annotated):
+        with pytest.raises(FreeIndexExceeded):
+            call(term, 1)
+        assert call(term, 3) in (False, None)
+
+
+def test_negative_free_count_is_rejected():
+    for call in (is_typable, infer, infer_annotated):
+        for term in (IDENTITY, Index(1)):
+            with pytest.raises(ValueError, match="free_count must be >= 0"):
+                call(term, -1)
+
+
+def test_type_variables_are_numbered_in_first_use_order():
+    assert infer(K).type == Arrow(TVar(0), Arrow(TVar(1), TVar(0)))
+    # domain before codomain
+    assert infer(Abs(K)).type == Arrow(TVar(0), Arrow(TVar(1), Arrow(TVar(2), TVar(1))))
+    typing = infer(App(Index(1), Index(2)), 2)
+    assert typing.context == (Arrow(TVar(1), TVar(0)), TVar(1))
+    assert typing.type == TVar(0)
+    # annotations number on after the type and the context: (\x. 2) \y. y
+    typing, annotations = infer_annotated(App(Abs(Index(2)), IDENTITY), 1)
+    assert typing == Typing(TVar(0), (TVar(0),))
+    identity = Arrow(TVar(1), TVar(1))
+    assert annotations == (TVar(0), Arrow(identity, TVar(0)), TVar(0), identity, TVar(1))
 
 
 def test_inference_is_stable_across_runs():
@@ -377,6 +409,15 @@ def test_alternating_columns_on_one_table():
         for closed in (first, not first):
             want = TYPABLE_CLOSED if closed else TYPABLE_ALL
             assert count_typable(n, closed=closed, table=table) == want[n]
+
+
+def test_unify_binds_the_right_hand_variable():
+    # walks pass (binder or slot, expected): the fresh expected cell must
+    # take the link, or chains of links form (see the open spine above)
+    slot, want = [None], [None]
+    trail: list = []
+    assert unify(slot, want, trail)
+    assert want[0] is slot and slot[0] is None and trail == [want]
 
 
 def test_shared_unify_handles_deep_arrow_chains():
