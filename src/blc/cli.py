@@ -20,6 +20,7 @@ class / rank out of range / free index above bound, 4 resource limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -371,10 +372,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# main's parser, built on its first call and reused: argparse keeps no
+# state between parse_args calls and looks up sys.stdout/sys.stderr only
+# when it prints, so in-process callers pay for their command, not for
+# rebuilding about fifty arguments.  Kept private, so no caller can
+# mutate the shared instance; build_parser still returns a fresh one.
+_parser = functools.cache(build_parser)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,11 +1,12 @@
 import json
 import subprocess
 import sys
+import threading
 import time
 
 import pytest
 
-from blc import __version__
+from blc import __version__, cli
 from blc.cli import main
 from blc.terms import decode, max_free_index, size
 from blc.typecheck import is_typable
@@ -320,3 +321,92 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "431\n"
+
+
+# One argv that succeeds and one that argparse rejects, per subcommand.
+SHARED_PARSER_CASES = [
+    (["count", "--size", "19", "--free", "0"], ["count", "--size", "19"]),
+    (["table", "--max-n", "6", "--m", "0,inf"], ["table", "--max-n", "6", "--format", "json"]),
+    (
+        ["unrank", "--size", "10", "--free", "0", "--index", "3", "--term-format", "text"],
+        ["unrank", "--size", "10", "--free", "0", "--index", "3", "--term-format", "hex"],
+    ),
+    (["rank", "--text", "\\(1 1)", "--free", "0"], ["rank", "--text", "\\1", "--term", "0010"]),
+    (
+        ["sample", "--size", "30", "--all", "--count", "2", "--seed", "5", "--format", "json"],
+        ["sample", "--size", "thirty", "--all"],
+    ),
+    (["typecheck", "--text", "\\\\(2 1)"], ["typecheck"]),
+    (
+        ["count-typable", "--size", "10", "--closed"],
+        ["count-typable", "--size", "10", "--closed", "--all"],
+    ),
+    (["asymptotics"], ["asymptotics", "--tolerance", "tiny"]),
+    (["convergence", "--max-n", "8", "--m", "0"], ["convergence", "--m", "0"]),
+]
+
+
+@pytest.mark.parametrize("ok_argv, bad_argv", SHARED_PARSER_CASES, ids=lambda a: a[0])
+def test_shared_parser_repeats_each_subcommand_exactly(capsys, ok_argv, bad_argv):
+    for argv, want_code in ((ok_argv, 0), (bad_argv, 2)):
+        first = run_cli(capsys, *argv)
+        assert first[0] == want_code
+        assert (first[1] if want_code == 0 else first[2]) != ""
+        assert run_cli(capsys, *argv) == first
+
+
+def test_main_builds_its_parser_once():
+    assert cli._parser() is cli._parser()
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli.build_parser() is not cli._parser()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--version"], ["sample", "--help"], ["rank", "--all", "--term", "0010", "--free", "1"]],
+    ids=["version", "sample-help", "usage-error"],
+)
+def test_shared_parser_text_matches_a_fresh_process(capsys, monkeypatch, argv):
+    # help and usage text wrap to COLUMNS, so pin it on both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    run_cli(capsys, "count", "--size", "4", "--free", "0")  # the shared parser exists
+    code, out, err = run_cli(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-m", "blc", *argv], capture_output=True, text=True)
+    assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr)
+    assert code in (0, 2) and out + err != ""
+
+
+def test_shared_parser_is_safe_across_threads():
+    argvs = [
+        ["sample", "--size", "40", "--free", "1", "--count", "3", "--typable", "--format", "json"],
+        ["rank", "--text", "\\\\(2 1)", "--all", "--max-n", "50"],
+    ]
+    parser = cli._parser()
+    serial = [vars(parser.parse_args(argv)) for argv in argvs]
+    results: list = [None, None]
+
+    def parse_many(k: int) -> None:
+        results[k] = [vars(parser.parse_args(argvs[k])) for _ in range(200)]
+
+    threads = [threading.Thread(target=parse_many, args=(k,)) for k in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for k in range(2):
+        assert results[k] == [serial[k]] * 200
+
+
+def test_import_leaves_cli_and_argparse_unloaded():
+    # the parser is built lazily by main; importing the package (which
+    # the benchmark's set-up times) must not pull the CLI in
+    code = "import sys, blc; print([m for m in ('blc.cli', 'argparse') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
