@@ -50,10 +50,53 @@ class TVar:
     id: int
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class Arrow:
+    """``domain -> codomain``.
+
+    Equality (exact, variable ids included), hashing and repr walk the
+    type with an explicit stack: the ones a dataclass generates recurse
+    once per nesting level and trip the interpreter limit on the deep
+    principal types ``infer`` returns.
+    """
+
     domain: "SimpleType"
     codomain: "SimpleType"
+
+    def _preorder(self) -> list:
+        # arrows (as None) and leaves in preorder: with each arrow's two
+        # operands following it, this flat list determines the type
+        out: list = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is Arrow:
+                out.append(None)
+                stack += (t.codomain, t.domain)
+            else:
+                out.append(t)
+        return out
+
+    def __eq__(self, other):
+        if type(other) is not Arrow:
+            return NotImplemented
+        return self is other or self._preorder() == other._preorder()
+
+    def __hash__(self):
+        return hash(tuple(self._preorder()))
+
+    def __repr__(self):
+        out: list[str] = []
+        stack: list = [self]
+        while stack:
+            t = stack.pop()
+            if type(t) is str:
+                out.append(t)
+            elif type(t) is Arrow:
+                stack += (")", t.codomain, ", codomain=", t.domain, "Arrow(domain=")
+            else:
+                out.append(repr(t))
+        return "".join(out)
 
 
 SimpleType = Union[TVar, Arrow]

@@ -312,6 +312,39 @@ def test_deep_terms_type_in_linear_time():
     assert _timed(is_typable, spine, 2)
 
 
+def test_deep_types_compare_hash_and_print():
+    # the principal type of the 5,000-deep \...\1 is a0 -> ... -> a4999 -> a4999
+    depth = 5000
+    ty = infer(_abstraction_chain(depth)).type
+    again = infer(_abstraction_chain(depth)).type
+    built = TVar(depth - 1)
+    for i in reversed(range(depth)):
+        built = Arrow(TVar(i), built)
+    assert ty == again == built and not ty != built
+    assert hash(ty) == hash(again) == hash(built)
+    assert len({ty, again, built}) == 1
+    # exact, variable ids included: neither a renaming nor one changed leaf is equal
+    renamed = TVar(depth)
+    for i in reversed(range(depth)):
+        renamed = Arrow(TVar(i + 1), renamed)
+    changed = Arrow(TVar(depth - 2), TVar(depth - 2))
+    for i in reversed(range(depth - 1)):
+        changed = Arrow(TVar(i), changed)
+    assert ty != renamed and ty != changed and ty != TVar(0)
+    assert repr(ty) == (
+        "".join(f"Arrow(domain=TVar(id={i}), codomain=" for i in range(depth))
+        + f"TVar(id={depth - 1})"
+        + ")" * depth
+    )
+    assert repr(Typing(ty, ())).startswith("Typing(type=Arrow(domain=TVar(id=0), codomain=")
+    # shallow types keep the equalities and text they had
+    k_type = Arrow(TVar(0), Arrow(TVar(1), TVar(0)))
+    assert infer(K).type == k_type and infer(K) == Typing(k_type, ())
+    assert infer(K).type != Arrow(TVar(0), Arrow(TVar(1), TVar(1)))
+    assert hash(infer(K)) == hash(Typing(k_type, ()))
+    assert repr(Arrow(TVar(0), TVar(1))) == "Arrow(domain=TVar(id=0), codomain=TVar(id=1))"
+
+
 def test_census_golden_prefix():
     for n in range(15):
         assert count_typable(n) == TYPABLE_CLOSED[n]
