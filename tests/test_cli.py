@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -276,6 +277,22 @@ def test_asymptotics_json(capsys):
     assert abs(payload["c"] - 1.021874073) < 1e-9
     assert len(payload["real_roots"]) == 4
     assert "-0.288265354" in payload["note"]
+
+
+def test_asymptotics_output_is_unchanged(capsys):
+    # sha256 of the whole stdout, recorded before the constant chain
+    # moved from mpmath to exact integer arithmetic
+    code, out, _ = run_cli(capsys, "asymptotics")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "49f1d962fb878e8ba5739c57373769a99f1991ac3a98c15d78cc1bfdd3e49e0f"
+
+
+def test_convergence_output_is_unchanged(capsys):
+    code, out, _ = run_cli(capsys, "convergence", "--max-n", "300", "--m", "0,1,2,5,inf")
+    assert code == 0
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == "68ccaa57860af8e0bf0cea61dde0149c6c7a14c6b4676dede06df45e9b78f7e2"
 
 
 def test_asymptotics_validates_tolerance(capsys):
