@@ -11,9 +11,9 @@ positive root ``sigma(m)`` decreases to rho as m grows.
 
 Root isolation is exact and in integers only: a Sturm chain of primitive
 integer polynomials, halving until each cell holds one root, then sign
-bisection, at points that share one denominator.  The constant chain is
-evaluated with mpmath (imported on first use) at 130-bit working
-precision and reported as floats.
+bisection, at points that share one denominator.  The constant chain and
+the scaled counts are evaluated in exact integers and Fractions too, with
+square roots by ``math.isqrt``, and rounded to float once at the end.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ class IntPolynomial:
 
     def __call__(self, x):
         """Horner evaluation; exact for int/Fraction x, and works for
-        mpmath and float arguments as well."""
+        float arguments as well."""
         acc = 0
         for c in reversed(self.coeffs):
             acc = acc * x + c
@@ -311,12 +311,21 @@ def sigma(m: int, tolerance: float = 1e-12) -> float:
 
 
 @lru_cache(maxsize=None)
-def _rho_exact(bits: int = 140) -> Fraction:
-    """The dominant singularity as a Fraction within 2**-bits."""
+def _rho_exact() -> Fraction:
+    """The dominant singularity as a Fraction within 2**-140."""
     q = list(SINGULARITY_POLY.coeffs)
-    x_lo, x_hi, den, finest = _scale(Fraction(2, 5), Fraction(3, 5), Fraction(1, 2**bits))
+    x_lo, x_hi, den, finest = _scale(Fraction(2, 5), Fraction(3, 5), Fraction(1, 2**140))
     assert _sign(q, x_lo, den) > 0 > _sign(q, x_hi, den)
     return _bisect(q, x_lo, x_hi, den, finest, 1)
+
+
+# pi to 63 digits, within 1e-62 (about 2**-206)
+_PI = Fraction(314159265358979323846264338327950288419716939937510582097494459, 10**62)
+
+
+def _sqrt(x: Fraction) -> Fraction:
+    """sqrt(x) for x >= 0, rounded down to a multiple of 2**-200."""
+    return Fraction(math.isqrt((x.numerator << 400) // x.denominator), 1 << 200)
 
 
 @dataclass(frozen=True)
@@ -354,7 +363,7 @@ def constants(tolerance: float = 1e-12) -> AsymptoticReport:
     """Compute the growth constants from scratch.
 
     The singularity is isolated by exact bisection, the chain is then
-    evaluated at 130-bit precision:
+    evaluated in Fractions of it, each value rounded to float once:
 
         q_at_rho = -SINGULARITY_POLY'(rho) / (1 - rho)
         c_tilde  = -sqrt(rho * q_at_rho / (1 - rho)) / (2 rho^2)
@@ -365,25 +374,20 @@ def constants(tolerance: float = 1e-12) -> AsymptoticReport:
     sextic carries at z = 1, and the same value is DISCRIMINANT_LIMIT's
     derivative at rho.
     """
-    from mpmath import mp
     roots = real_roots(SINGULARITY_POLY, -4, 2, tolerance)
-    rho_exact = _rho_exact()
-    with mp.workprec(130):
-        rho = mp.mpf(rho_exact.numerator) / mp.mpf(rho_exact.denominator)
-        growth = 1 / rho
-        q_at_rho = -SINGULARITY_POLY.derivative()(rho) / (1 - rho)
-        c_tilde = -mp.sqrt(rho * q_at_rho / (1 - rho)) / (2 * rho * rho)
-        c = c_tilde / (-2 * mp.sqrt(mp.pi))
-        report = AsymptoticReport(
-            rho=float(rho),
-            growth=float(growth),
-            q_at_rho=float(q_at_rho),
-            c_tilde=float(c_tilde),
-            c=float(c),
-            real_roots=tuple(roots),
-            note=_C_TILDE_NOTE,
-        )
-    return report
+    rho = _rho_exact()
+    q_at_rho = -SINGULARITY_POLY.derivative()(rho) / (1 - rho)
+    c_tilde = -_sqrt(rho * q_at_rho / (1 - rho)) / (2 * rho * rho)
+    c = c_tilde / (-2 * _sqrt(_PI))
+    return AsymptoticReport(
+        rho=float(rho),
+        growth=float(1 / rho),
+        q_at_rho=float(q_at_rho),
+        c_tilde=float(c_tilde),
+        c=float(c),
+        real_roots=tuple(roots),
+        note=_C_TILDE_NOTE,
+    )
 
 
 @dataclass(frozen=True)
@@ -403,9 +407,10 @@ def convergence_series(
 ) -> list[ConvergencePoint]:
     """Scaled counts for each bound in ``m_values`` and n = 2..max_n.
 
-    The product count * rho^n * n^1.5 is formed on the log scale at
-    130-bit precision (the raw counts leave double range long before
-    n = 600) and returned as floats.  Sizes with a zero count are
+    The product count * rho^n * n^1.5 is formed as an integer over
+    2**(320 + n), from (2 rho)^n and sqrt(n) in 160-bit fixed point (the
+    raw counts leave double range long before n = 600), and divided
+    into a float once.  Sizes with a zero count are
     skipped.  Points are ordered by bound (finite bounds ascending, the
     unbounded bound last), then by size.  The unbounded sequence tends
     to the constant c of ``constants``; every finite bound's sequence
@@ -413,19 +418,17 @@ def convergence_series(
     """
     if max_n < 2:
         raise ValueError(f"need max_n >= 2, got {max_n}")
-    from mpmath import mp
     tbl = table or counting.shared_table()
     bounds = sorted(set(m_values), key=lambda m: (m == math.inf, m))
-    rho_exact = _rho_exact()
+    rho = _rho_exact()
+    two_rho = (rho.numerator << 161) // rho.denominator
     points: list[ConvergencePoint] = []
-    with mp.workprec(130):
-        log_rho = mp.log(mp.mpf(rho_exact.numerator)) - mp.log(mp.mpf(rho_exact.denominator))
-        three_halves = mp.mpf(3) / 2
-        for m in bounds:
-            for n in range(2, max_n + 1):
-                s = tbl.count(m, n)
-                if not s:
-                    continue
-                value = mp.exp(mp.log(s) + n * log_rho + three_halves * mp.log(n))
-                points.append(ConvergencePoint(m, n, float(value)))
+    for m in bounds:
+        power = two_rho  # (2 rho)^n; 2 rho > 1, so no product loses bits
+        for n in range(2, max_n + 1):
+            power = power * two_rho >> 160
+            s = tbl.count(m, n)
+            if s:
+                scaled = s * power * n * math.isqrt(n << 320)
+                points.append(ConvergencePoint(m, n, scaled / (1 << (320 + n))))
     return points

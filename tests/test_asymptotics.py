@@ -4,7 +4,6 @@ import sys
 from fractions import Fraction
 
 import pytest
-from mpmath import mp
 
 from blc.asymptotics import (
     DISCRIMINANT_LIMIT,
@@ -241,15 +240,19 @@ def test_simplest_between_has_the_smallest_denominator():
 
 
 def test_import_leaves_mpmath_and_process_pools_unloaded():
-    # mpmath serves only constants/convergence_series and loads on first
-    # use; no module of the package uses a process pool at all
+    # the constant chain and the scaled counts need no mpmath, not even
+    # when they run; no module of the package uses a process pool at all
     code = (
-        "import sys, blc, blc.cli; "
-        "print([m for m in ('mpmath', 'concurrent.futures') if m in sys.modules])"
+        "import math, sys, blc, blc.cli; "
+        "from blc.asymptotics import constants, convergence_series; "
+        "constants(); convergence_series([0, math.inf], 50); "
+        "code = blc.cli.main(['asymptotics']); "
+        "print([m for m in ('mpmath', 'concurrent.futures') if m in sys.modules], code, "
+        "file=sys.stderr)"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    assert proc.stderr == "[] 0\n"
 
 
 def test_sigma_golden_values():
@@ -286,14 +289,10 @@ class TestConstants:
     def test_q_at_rho_two_routes_agree(self):
         # the limit -SINGULARITY_POLY'(rho)/(1 - rho) equals the
         # derivative of the deflated quintic at rho
-        from blc.asymptotics import _rho_exact
-
-        rho_exact = _rho_exact()
-        with mp.workprec(130):
-            rho = mp.mpf(rho_exact.numerator) / mp.mpf(rho_exact.denominator)
-            lhopital = -SINGULARITY_POLY.derivative()(rho) / (1 - rho)
-            deflated = DISCRIMINANT_LIMIT.derivative()(rho)
-            assert abs(lhopital - deflated) < mp.mpf(2) ** -90
+        rho = _rho_exact()
+        lhopital = -SINGULARITY_POLY.derivative()(rho) / (1 - rho)
+        deflated = DISCRIMINANT_LIMIT.derivative()(rho)
+        assert abs(lhopital - deflated) < Fraction(1, 2**90)
 
     def test_note_documents_the_radical_discrepancy(self):
         report = constants()
@@ -328,6 +327,21 @@ class TestConvergence:
         for (m, n), value in by_key.items():
             if m != math.inf:
                 assert value <= by_key[(math.inf, n)] + 1e-12
+
+    def test_values_match_exact_fractions(self, big_table):
+        # value**2 against count**2 * rho**(2n) * n**3, all exact: no
+        # fixed point, no square root
+        rho = _rho_exact()
+        points = convergence_series([0, math.inf], 600, table=big_table)
+        by_key = {(pt.m, pt.n): pt.value for pt in points}
+        for m in (0, math.inf):
+            for n in (2, 50, 300, 600):
+                s = big_table.count(m, n)
+                if not s:
+                    assert (m, n) not in by_key
+                    continue
+                exact = s * s * rho ** (2 * n) * n**3
+                assert abs(Fraction(by_key[(m, n)]) ** 2 - exact) <= exact / 2**50, (m, n)
 
     def test_unbounded_row_approaches_c(self, big_table):
         points = convergence_series([math.inf], 300, table=big_table)
