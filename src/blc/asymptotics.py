@@ -12,8 +12,9 @@ positive root ``sigma(m)`` decreases to rho as m grows.
 Root isolation is exact and in integers only: a Sturm chain of primitive
 integer polynomials, halving until each cell holds one root, then sign
 bisection, at points that share one denominator.  The constant chain and
-the scaled counts are evaluated in exact integers and Fractions too, with
-square roots by ``math.isqrt``, and rounded to float once at the end.
+the scaled counts are evaluated in integers and Fractions too, square
+roots by ``math.isqrt`` to 2**-160 or finer, and each value is rounded to
+float once.
 """
 
 from __future__ import annotations
@@ -410,11 +411,10 @@ def convergence_series(
     The product count * rho^n * n^1.5 is formed as an integer over
     2**(320 + n), from (2 rho)^n and sqrt(n) in 160-bit fixed point (the
     raw counts leave double range long before n = 600), and divided
-    into a float once.  Sizes with a zero count are
-    skipped.  Points are ordered by bound (finite bounds ascending, the
-    unbounded bound last), then by size.  The unbounded sequence tends
-    to the constant c of ``constants``; every finite bound's sequence
-    lies below it.
+    into a float once.  Sizes with a zero count are skipped.  Points
+    are ordered by bound (finite bounds ascending, the unbounded bound
+    last), then by size.  The unbounded sequence tends to the constant
+    c of ``constants``; every finite bound's sequence lies below it.
     """
     if max_n < 2:
         raise ValueError(f"need max_n >= 2, got {max_n}")
@@ -424,7 +424,7 @@ def convergence_series(
     two_rho = (rho.numerator << 161) // rho.denominator
     points: list[ConvergencePoint] = []
     for m in bounds:
-        power = two_rho  # (2 rho)^n; 2 rho > 1, so no product loses bits
+        power = two_rho  # (2 rho)^n never shrinks, so a truncation costs 2**-160 of it
         for n in range(2, max_n + 1):
             power = power * two_rho >> 160
             s = tbl.count(m, n)

@@ -280,8 +280,7 @@ def test_asymptotics_json(capsys):
 
 
 def test_asymptotics_output_is_unchanged(capsys):
-    # sha256 of the whole stdout, recorded before the constant chain
-    # moved from mpmath to exact integer arithmetic
+    # sha256 of the whole stdout: every float of the chain, bit for bit
     code, out, _ = run_cli(capsys, "asymptotics")
     assert code == 0
     digest = hashlib.sha256(out.encode()).hexdigest()
