@@ -20,12 +20,12 @@ float once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Iterable
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable
 
 from . import counting
+from ._record import Record, setfield
 
 __all__ = [
     "IntPolynomial",
@@ -42,18 +42,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, init=False)
-class IntPolynomial:
+class IntPolynomial(Record):
     """Integer polynomial; ``coeffs[k]`` multiplies z^k, the leading
     coefficient is nonzero, and ``()`` is the zero polynomial."""
 
-    coeffs: tuple[int, ...]
+    __slots__ = __match_args__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[int] = ()):
         cs = list(coeffs)
         while cs and cs[-1] == 0:
             cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        setfield(self, "coeffs", tuple(cs))
 
     @property
     def degree(self) -> int:
@@ -329,8 +328,7 @@ def _sqrt(x: Fraction) -> Fraction:
     return Fraction(math.isqrt((x.numerator << 400) // x.denominator), 1 << 200)
 
 
-@dataclass(frozen=True)
-class AsymptoticReport:
+class AsymptoticReport(Record):
     """Constant chain of the unbounded counting sequence.
 
     rho is the dominant singularity, growth = 1/rho the exponential
@@ -341,13 +339,27 @@ class AsymptoticReport:
     [-4, 2]; note records a known numerical discrepancy.
     """
 
-    rho: float
-    growth: float
-    q_at_rho: float
-    c_tilde: float
-    c: float
-    real_roots: tuple[float, ...]
-    note: str
+    __slots__ = __match_args__ = (
+        "rho", "growth", "q_at_rho", "c_tilde", "c", "real_roots", "note"
+    )
+
+    def __init__(
+        self,
+        rho: float,
+        growth: float,
+        q_at_rho: float,
+        c_tilde: float,
+        c: float,
+        real_roots: tuple[float, ...],
+        note: str,
+    ):
+        setfield(self, "rho", rho)
+        setfield(self, "growth", growth)
+        setfield(self, "q_at_rho", q_at_rho)
+        setfield(self, "c_tilde", c_tilde)
+        setfield(self, "c", c)
+        setfield(self, "real_roots", real_roots)
+        setfield(self, "note", note)
 
 
 _C_TILDE_NOTE = (
@@ -391,13 +403,15 @@ def constants(tolerance: float = 1e-12) -> AsymptoticReport:
     )
 
 
-@dataclass(frozen=True)
-class ConvergencePoint:
+class ConvergencePoint(Record):
     """One scaled count: value = count(m, n) * rho^n * n^(3/2)."""
 
-    m: int | float
-    n: int
-    value: float
+    __slots__ = __match_args__ = ("m", "n", "value")
+
+    def __init__(self, m: int | float, n: int, value: float):
+        setfield(self, "m", m)
+        setfield(self, "n", n)
+        setfield(self, "value", value)
 
 
 def convergence_series(

@@ -24,7 +24,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import asdict
 
 from . import __version__, counting
 from .asymptotics import constants, convergence_series
@@ -252,7 +251,17 @@ def _cmd_count_typable(args) -> int:
 def _cmd_asymptotics(args) -> int:
     if not 0 < args.tolerance <= 1e-6:
         raise UsageError(f"--tolerance must be in (0, 1e-6], got {args.tolerance}")
-    print(json.dumps(asdict(constants(args.tolerance))))
+    r = constants(args.tolerance)
+    report = {
+        "rho": r.rho,
+        "growth": r.growth,
+        "q_at_rho": r.q_at_rho,
+        "c_tilde": r.c_tilde,
+        "c": r.c,
+        "real_roots": r.real_roots,
+        "note": r.note,
+    }
+    print(json.dumps(report))
     return 0
 
 

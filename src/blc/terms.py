@@ -14,14 +14,17 @@ i + 1 bits, an abstraction or application adds 2.  The smallest term is
 ``Index(1)`` at size 2; no term has size 0 or 1.
 
 Bit strings are plain Python ``str`` over the characters '0' and '1'.
-Every traversal here is iterative, so terms nested hundreds of levels
-deep are handled without touching the interpreter recursion limit.
+Every traversal here is iterative, ``==``, ``hash`` and ``repr``
+included, so terms nested thousands of levels deep are handled without
+touching the interpreter recursion limit.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Union
+from collections.abc import Iterator
+from operator import index as _as_int
+
+from ._record import Record, setfield
 
 __all__ = [
     "Index",
@@ -43,14 +46,14 @@ __all__ = [
 ]
 
 
-class _TermBase:
+class _TermBase(Record):
     """Equality and hashing through the binary code.
 
     The code is injective over terms, so comparing codes is structural
     equality; doing it this way keeps both operations iterative, where
-    the field-by-field comparison a dataclass generates would recurse
-    once per nesting level and trip the interpreter limit on the deep
-    terms the rest of this module happily supports.
+    a field-by-field comparison would recurse once per nesting level
+    and trip the interpreter limit on the deep terms the rest of this
+    module happily supports.  Terms of different kinds compare unequal.
     """
 
     __slots__ = ()
@@ -64,29 +67,34 @@ class _TermBase:
         return hash(encode(self))
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Index(_TermBase):
     """Variable occurrence; ``i`` counts enclosing binders starting at 1."""
 
-    i: int
+    __slots__ = __match_args__ = ("i",)
 
-    def __post_init__(self) -> None:
-        if self.i < 1:
-            raise ValueError(f"de Bruijn indices start at 1, got {self.i}")
+    def __init__(self, i: int):
+        i = _as_int(i)  # TypeError for a non-integer; True is stored as 1
+        if i < 1:
+            raise ValueError(f"de Bruijn indices start at 1, got {i}")
+        setfield(self, "i", i)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class Abs(_TermBase):
-    body: "Term"
+    __slots__ = __match_args__ = ("body",)
+
+    def __init__(self, body: Term):
+        setfield(self, "body", body)
 
 
-@dataclass(frozen=True, slots=True, eq=False)
 class App(_TermBase):
-    fun: "Term"
-    arg: "Term"
+    __slots__ = __match_args__ = ("fun", "arg")
+
+    def __init__(self, fun: Term, arg: Term):
+        setfield(self, "fun", fun)
+        setfield(self, "arg", arg)
 
 
-Term = Union[Index, Abs, App]
+Term = Index | Abs | App
 
 
 class DecodeError(ValueError):

@@ -26,10 +26,8 @@ it builds it and drops the draw at its first clash.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Union
-
 from . import counting
+from ._record import Record, setfield
 from .terms import Abs, App, FreeIndexExceeded, Term, max_free_index
 
 __all__ = [
@@ -45,23 +43,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, slots=True)
-class TVar:
-    id: int
+class TVar(Record):
+    __slots__ = __match_args__ = ("id",)
+
+    def __init__(self, id: int):
+        setfield(self, "id", id)
 
 
-@dataclass(frozen=True, slots=True, eq=False, repr=False)
-class Arrow:
+class Arrow(Record):
     """``domain -> codomain``.
 
-    Equality (exact, variable ids included), hashing and repr walk the
-    type with an explicit stack: the ones a dataclass generates recurse
-    once per nesting level and trip the interpreter limit on the deep
-    principal types ``infer`` returns.
+    Equality (exact, variable ids included) and hashing walk the type
+    with an explicit stack, so the deep principal types ``infer``
+    returns compare and hash without recursion.
     """
 
-    domain: "SimpleType"
-    codomain: "SimpleType"
+    __slots__ = __match_args__ = ("domain", "codomain")
+
+    def __init__(self, domain: SimpleType, codomain: SimpleType):
+        setfield(self, "domain", domain)
+        setfield(self, "codomain", codomain)
 
     def _preorder(self) -> list:
         # arrows (as None) and leaves in preorder: with each arrow's two
@@ -85,30 +86,19 @@ class Arrow:
     def __hash__(self):
         return hash(tuple(self._preorder()))
 
-    def __repr__(self):
-        out: list[str] = []
-        stack: list = [self]
-        while stack:
-            t = stack.pop()
-            if type(t) is str:
-                out.append(t)
-            elif type(t) is Arrow:
-                stack += (")", t.codomain, ", codomain=", t.domain, "Arrow(domain=")
-            else:
-                out.append(repr(t))
-        return "".join(out)
+
+SimpleType = TVar | Arrow
 
 
-SimpleType = Union[TVar, Arrow]
-
-
-@dataclass(frozen=True)
-class Typing:
+class Typing(Record):
     """Principal result of inference: the term's type and the types the
     context assigns to free indices 1..free_count, in that order."""
 
-    type: SimpleType
-    context: tuple[SimpleType, ...]
+    __slots__ = __match_args__ = ("type", "context")
+
+    def __init__(self, type: SimpleType, context: tuple[SimpleType, ...]):
+        setfield(self, "type", type)
+        setfield(self, "context", context)
 
 
 def _walk(term: Term, free_count: int):
@@ -191,7 +181,7 @@ def is_typable(term: Term, free_count: int = 0) -> bool:
     return _walk(term, free_count) is not None
 
 
-def infer(term: Term, free_count: int = 0) -> Optional[Typing]:
+def infer(term: Term, free_count: int = 0) -> Typing | None:
     """Principal typing of ``term``, or None if it has no simple type.
 
     Type variables are numbered 0, 1, ... in first-use order: the type
@@ -209,7 +199,7 @@ def infer(term: Term, free_count: int = 0) -> Optional[Typing]:
 
 def infer_annotated(
     term: Term, free_count: int = 0
-) -> Optional[tuple[Typing, tuple[SimpleType, ...]]]:
+) -> tuple[Typing, tuple[SimpleType, ...]] | None:
     """Like ``infer`` but also returns one type per subterm, in preorder.
 
     The annotations let an external checker replay the typing rules

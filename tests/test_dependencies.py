@@ -1,6 +1,10 @@
-"""The library runs on the standard library alone."""
+"""The library runs on the standard library alone, and its import stays
+light: no ``dataclasses`` or ``typing``, whose imports cost more than the
+whole package."""
 
 import ast
+import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -8,6 +12,8 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "blc").glob("*.py"))
+HEAVY = ["dataclasses", "inspect", "typing"]
+SUBMODULES = ["asymptotics", "counting", "enumeration", "terms", "typecheck"]
 
 
 def _absolute_imports(path: Path) -> list[str]:
@@ -25,6 +31,28 @@ def _absolute_imports(path: Path) -> list[str]:
 def test_modules_import_only_the_standard_library(path):
     outside = [m for m in _absolute_imports(path) if m not in sys.stdlib_module_names]
     assert outside == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_modules_import_neither_dataclasses_nor_typing(path):
+    assert [m for m in _absolute_imports(path) if m in ("dataclasses", "typing")] == []
+
+
+def test_importing_the_package_loads_every_submodule_and_nothing_heavy():
+    # a fresh interpreter without site, so only blc's own imports count
+    script = (
+        "import json, sys; sys.path.insert(0, sys.argv[1]); import blc; "
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", script, str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(json.loads(done.stdout))
+    assert [m for m in HEAVY if m in loaded] == []
+    assert [m for m in SUBMODULES if f"blc.{m}" not in loaded] == []
 
 
 def test_the_package_declares_no_runtime_dependency():

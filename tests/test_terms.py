@@ -75,6 +75,19 @@ def test_index_starts_at_one():
         Index(0)
 
 
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None])
+def test_index_rejects_a_non_integer_when_built(bad):
+    with pytest.raises(TypeError):
+        Index(bad)
+
+
+def test_index_stores_a_bool_as_an_int():
+    index = Index(True)
+    assert type(index.i) is int and index.i == 1
+    assert repr(index) == "Index(i=1)"
+    assert index == Index(1) and encode(index) == "10"
+
+
 @pytest.mark.parametrize(
     "term,expected",
     [
@@ -161,6 +174,16 @@ def test_deeply_nested_terms_are_fine():
     assert decode(bits) == term
     assert max_free_index(term) == 0
     assert parse_text(render(term)) == term
+
+
+def test_repr_of_deep_terms():
+    chain = Index(1)
+    spine = Index(1)
+    for _ in range(5000):
+        chain = Abs(chain)
+        spine = App(spine, Index(1))
+    assert repr(chain) == "Abs(body=" * 5000 + "Index(i=1)" + ")" * 5000
+    assert repr(spine) == "App(fun=" * 5000 + "Index(i=1)" + ", arg=Index(i=1))" * 5000
 
 
 @given(term_strategy)

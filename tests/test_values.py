@@ -135,6 +135,14 @@ def test_fields_are_read_only(name):
 
 
 @parametrized
+def test_no_other_attribute_can_be_set(name):
+    value = CASES[name][0]
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    assert not hasattr(value, "extra") and not hasattr(value, "__dict__")
+
+
+@parametrized
 @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
 def test_pickle_round_trip(name, protocol):
     value, text, _, _ = CASES[name]
