@@ -47,13 +47,13 @@ __all__ = [
 
 
 class _TermBase(Record):
-    """Equality and hashing through the binary code.
+    """Equality, hashing and pickling through the binary code.
 
     The code is injective over terms, so comparing codes is structural
-    equality; doing it this way keeps both operations iterative, where
-    a field-by-field comparison would recurse once per nesting level
-    and trip the interpreter limit on the deep terms the rest of this
-    module happily supports.  Terms of different kinds compare unequal.
+    equality; doing it this way keeps these operations iterative, where
+    a field-by-field walk would recurse once per nesting level and trip
+    the interpreter limit on the deep terms the rest of this module
+    happily supports.
     """
 
     __slots__ = ()
@@ -65,6 +65,9 @@ class _TermBase(Record):
 
     def __hash__(self):
         return hash(encode(self))
+
+    def __reduce__(self):
+        return decode, (encode(self),)
 
 
 class Index(_TermBase):

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -184,6 +187,17 @@ def test_repr_of_deep_terms():
         spine = App(spine, Index(1))
     assert repr(chain) == "Abs(body=" * 5000 + "Index(i=1)" + ")" * 5000
     assert repr(spine) == "App(fun=" * 5000 + "Index(i=1)" + ", arg=Index(i=1))" * 5000
+
+
+def test_pickle_and_deepcopy_of_deep_terms():
+    chain = Index(1)
+    spine = Index(1)
+    for _ in range(5000):
+        chain = Abs(chain)
+        spine = App(spine, Index(1))
+    for term in (chain, spine):
+        assert pickle.loads(pickle.dumps(term)) == term
+        assert copy.deepcopy(term) == term
 
 
 @given(term_strategy)
