@@ -1,10 +1,4 @@
-"""The base of the package's immutable value classes.
-
-A value class lists its fields, in order, as both ``__slots__`` and
-``__match_args__``, and its own ``__init__`` stores them with
-``setfield``: after that, assigning or deleting any attribute raises
-``AttributeError``.
-"""
+"""The base class of the package's immutable value classes."""
 
 __all__ = ["Record", "setfield"]
 
@@ -14,11 +8,15 @@ setfield = object.__setattr__
 class Record:
     """Field-wise equality, hashing, repr, immutability and pickling.
 
-    Two records are equal when they are of the same class and their
-    field values are equal, and equal records hash alike.  The repr is
-    ``Name(field=value, ...)``; nested records are expanded with an
-    explicit stack, so arbitrarily deep values print.  Pickling and
-    copying rebuild a record by calling its class on its field values.
+    A subclass lists its fields, in order, as both ``__slots__`` and
+    ``__match_args__``, and its own ``__init__`` stores them with
+    ``setfield``; after that, assigning or deleting any attribute raises
+    ``AttributeError``.  Two records are equal when they are of the same
+    class and their field values are equal, and equal records hash
+    alike.  The repr is ``Name(field=value, ...)``; nested records are
+    expanded with an explicit stack, so arbitrarily deep values print.
+    Pickling and copying rebuild a record by calling its class on its
+    field values.
     """
 
     __slots__ = ()
@@ -51,9 +49,8 @@ class Record:
             if type(item) is str:
                 out.append(item)
                 continue
-            names = item.__match_args__
             parts = [f"{type(item).__qualname__}("]
-            for k, name in enumerate(names):
+            for k, name in enumerate(item.__match_args__):
                 value = getattr(item, name)
                 parts.append(f"{', ' if k else ''}{name}=")
                 parts.append(value if type(value).__repr__ is Record.__repr__ else repr(value))

@@ -14,9 +14,9 @@ i + 1 bits, an abstraction or application adds 2.  The smallest term is
 ``Index(1)`` at size 2; no term has size 0 or 1.
 
 Bit strings are plain Python ``str`` over the characters '0' and '1'.
-Every traversal here is iterative, ``==``, ``hash`` and ``repr``
-included, so terms nested thousands of levels deep are handled without
-touching the interpreter recursion limit.
+Every traversal here is iterative, ``==``, ``hash``, ``repr`` and
+pickling included, so terms nested thousands of levels deep are handled
+without touching the interpreter recursion limit.
 """
 
 from __future__ import annotations
