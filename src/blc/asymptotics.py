@@ -69,36 +69,6 @@ class IntPolynomial(Record):
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(k * c for k, c in enumerate(self.coeffs) if k)
 
-    def __neg__(self) -> "IntPolynomial":
-        return IntPolynomial(-c for c in self.coeffs)
-
-    def __add__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] += c
-        return IntPolynomial(out)
-
-    def __sub__(self, other: "IntPolynomial") -> "IntPolynomial":
-        return self + (-other)
-
-    def __mul__(self, other: "IntPolynomial") -> "IntPolynomial":
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return IntPolynomial()
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return IntPolynomial(out)
-
-
-def _monomial(coefficient: int, power: int) -> IntPolynomial:
-    return IntPolynomial([0] * power + [coefficient])
-
 
 # Sextic whose smallest positive root is the dominant singularity:
 # z^6 + 2 z^5 - 5 z^4 + 4 z^3 - z^2 - 2 z + 1.
@@ -112,13 +82,13 @@ DISCRIMINANT_LIMIT = IntPolynomial((-1, 1, 2, -2, 3, 1))
 
 def bound_discriminant(m: int) -> IntPolynomial:
     """Discriminant numerator for the counts at free-index bound m:
-    4 z^4 (1 - z^m) - (1 - z)^3 (1 + z)^2, expanded exactly."""
+    4 z^4 (1 - z^m) - (1 - z)^3 (1 + z)^2, which is DISCRIMINANT_LIMIT
+    less 4 z^(m+4)."""
     if m < 0:
         raise ValueError(f"bound must be >= 0, got {m}")
-    one_minus = IntPolynomial((1, -1))
-    one_plus = IntPolynomial((1, 1))
-    tail = one_minus * one_minus * one_minus * one_plus * one_plus
-    return _monomial(4, 4) - _monomial(4, m + 4) - tail
+    cs = list(DISCRIMINANT_LIMIT.coeffs) + [0] * m
+    cs[m + 4] -= 4
+    return IntPolynomial(cs)
 
 
 # ---------------------------------------------------------------------------
@@ -343,24 +313,6 @@ class AsymptoticReport(Record):
         "rho", "growth", "q_at_rho", "c_tilde", "c", "real_roots", "note"
     )
 
-    def __init__(
-        self,
-        rho: float,
-        growth: float,
-        q_at_rho: float,
-        c_tilde: float,
-        c: float,
-        real_roots: tuple[float, ...],
-        note: str,
-    ):
-        setfield(self, "rho", rho)
-        setfield(self, "growth", growth)
-        setfield(self, "q_at_rho", q_at_rho)
-        setfield(self, "c_tilde", c_tilde)
-        setfield(self, "c", c)
-        setfield(self, "real_roots", real_roots)
-        setfield(self, "note", note)
-
 
 _C_TILDE_NOTE = (
     "c = c_tilde / Gamma(-1/2) with Gamma(-1/2) = -2*sqrt(pi) ~ -3.5449077. "
@@ -407,11 +359,6 @@ class ConvergencePoint(Record):
     """One scaled count: value = count(m, n) * rho^n * n^(3/2)."""
 
     __slots__ = __match_args__ = ("m", "n", "value")
-
-    def __init__(self, m: int | float, n: int, value: float):
-        setfield(self, "m", m)
-        setfield(self, "n", n)
-        setfield(self, "value", value)
 
 
 def convergence_series(

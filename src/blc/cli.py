@@ -13,8 +13,9 @@ One executable, nine subcommands:
     convergence    CSV of scaled counts approaching the growth constant
 
 Results go to stdout; diagnostics, and run metadata in plain mode, go
-to stderr.  Exit codes: 0 success, 2 usage or malformed input, 3 empty
-class / rank out of range / free index above bound, 4 resource limit.
+to stderr.  Exit codes: 0 success, 1 stdout closed early (say, piped
+into ``head``), 2 usage or malformed input, 3 empty class / rank out of
+range / free index above bound, 4 resource limit.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 
 from . import __version__, counting
@@ -252,16 +254,7 @@ def _cmd_asymptotics(args) -> int:
     if not 0 < args.tolerance <= 1e-6:
         raise UsageError(f"--tolerance must be in (0, 1e-6], got {args.tolerance}")
     r = constants(args.tolerance)
-    report = {
-        "rho": r.rho,
-        "growth": r.growth,
-        "q_at_rho": r.q_at_rho,
-        "c_tilde": r.c_tilde,
-        "c": r.c,
-        "real_roots": r.real_roots,
-        "note": r.note,
-    }
-    print(json.dumps(report))
+    print(json.dumps({name: getattr(r, name) for name in r.__match_args__}))
     return 0
 
 
@@ -395,7 +388,13 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader has gone: discard the rest, so the flush at exit cannot fail too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

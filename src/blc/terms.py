@@ -46,31 +46,7 @@ __all__ = [
 ]
 
 
-class _TermBase(Record):
-    """Equality, hashing and pickling through the binary code.
-
-    The code is injective over terms, so comparing codes is structural
-    equality; doing it this way keeps these operations iterative, where
-    a field-by-field walk would recurse once per nesting level and trip
-    the interpreter limit on the deep terms the rest of this module
-    happily supports.
-    """
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        if not isinstance(other, _TermBase):
-            return NotImplemented
-        return self is other or encode(self) == encode(other)
-
-    def __hash__(self):
-        return hash(encode(self))
-
-    def __reduce__(self):
-        return decode, (encode(self),)
-
-
-class Index(_TermBase):
+class Index(Record):
     """Variable occurrence; ``i`` counts enclosing binders starting at 1."""
 
     __slots__ = __match_args__ = ("i",)
@@ -82,14 +58,14 @@ class Index(_TermBase):
         setfield(self, "i", i)
 
 
-class Abs(_TermBase):
+class Abs(Record):
     __slots__ = __match_args__ = ("body",)
 
     def __init__(self, body: Term):
         setfield(self, "body", body)
 
 
-class App(_TermBase):
+class App(Record):
     __slots__ = __match_args__ = ("fun", "arg")
 
     def __init__(self, fun: Term, arg: Term):

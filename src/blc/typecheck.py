@@ -51,40 +51,13 @@ class TVar(Record):
 
 
 class Arrow(Record):
-    """``domain -> codomain``.
-
-    Equality (exact, variable ids included) and hashing walk the type
-    with an explicit stack, so the deep principal types ``infer``
-    returns compare and hash without recursion.
-    """
+    """``domain -> codomain``."""
 
     __slots__ = __match_args__ = ("domain", "codomain")
 
     def __init__(self, domain: SimpleType, codomain: SimpleType):
         setfield(self, "domain", domain)
         setfield(self, "codomain", codomain)
-
-    def _preorder(self) -> list:
-        # arrows (as None) and leaves in preorder: with each arrow's two
-        # operands following it, this flat list determines the type
-        out: list = []
-        stack: list = [self]
-        while stack:
-            t = stack.pop()
-            if type(t) is Arrow:
-                out.append(None)
-                stack += (t.codomain, t.domain)
-            else:
-                out.append(t)
-        return out
-
-    def __eq__(self, other):
-        if type(other) is not Arrow:
-            return NotImplemented
-        return self is other or self._preorder() == other._preorder()
-
-    def __hash__(self):
-        return hash(tuple(self._preorder()))
 
 
 SimpleType = TVar | Arrow
@@ -95,10 +68,6 @@ class Typing(Record):
     context assigns to free indices 1..free_count, in that order."""
 
     __slots__ = __match_args__ = ("type", "context")
-
-    def __init__(self, type: SimpleType, context: tuple[SimpleType, ...]):
-        setfield(self, "type", type)
-        setfield(self, "context", context)
 
 
 def _walk(term: Term, free_count: int):

@@ -51,6 +51,26 @@ RHO_EXACT = Fraction(
 )
 
 
+def _product(*factors):
+    """Exact product of coefficient sequences (``c[k]`` multiplies z^k),
+    as an IntPolynomial."""
+    out = [1]
+    for f in factors:
+        prod = [0] * (len(out) + len(f) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(f):
+                prod[i + j] += a * b
+        out = prod
+    return IntPolynomial(out)
+
+
+def _difference(a, b):
+    """Coefficients of a - b, for coefficient sequences of any lengths."""
+    width = max(len(a), len(b))
+    a, b = list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))
+    return IntPolynomial(x - y for x, y in zip(a, b))
+
+
 class TestIntPolynomial:
     def test_normalizes_trailing_zeros(self):
         assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
@@ -70,31 +90,36 @@ class TestIntPolynomial:
         assert IntPolynomial((3,)).derivative().coeffs == ()
 
     def test_arithmetic(self):
-        a = IntPolynomial((1, 1))
-        b = IntPolynomial((-1, 1))
-        assert (a * b).coeffs == (-1, 0, 1)
-        assert (a + b).coeffs == (0, 2)
-        assert (a - a).coeffs == ()
+        # the expansion helpers the identities below are checked with
+        assert _product((1, 1), (-1, 1)).coeffs == (-1, 0, 1)
+        assert _product((1, 1), (1, 1), (1, 1)).coeffs == (1, 3, 3, 1)
+        assert _product((0, 2), (3,)).coeffs == (0, 6)
+        assert _product((1, -1), ()).coeffs == ()
+        assert _product().coeffs == (1,)
+        assert _difference((0, 2), (0, 0, 1)).coeffs == (0, 2, -1)
+        assert _difference((1, 1), (1, 1)).coeffs == ()
 
 
 def test_singularity_poly_factors_through_the_limit_discriminant():
-    z_minus_one = IntPolynomial((-1, 1))
-    assert z_minus_one * DISCRIMINANT_LIMIT == SINGULARITY_POLY
+    assert _product((-1, 1), DISCRIMINANT_LIMIT.coeffs) == SINGULARITY_POLY
+
+
+# (1 - z)^3 (1 + z)^2, the tail shared by every discriminant
+_TAIL = _product((1, -1), (1, -1), (1, -1), (1, 1), (1, 1)).coeffs
 
 
 def test_limit_discriminant_matches_its_closed_form():
-    one_minus = IntPolynomial((1, -1))
-    one_plus = IntPolynomial((1, 1))
-    tail = one_minus * one_minus * one_minus * one_plus * one_plus
-    four_z4 = IntPolynomial((0, 0, 0, 0, 4))
-    assert four_z4 - tail == DISCRIMINANT_LIMIT
+    assert _difference((0, 0, 0, 0, 4), _TAIL) == DISCRIMINANT_LIMIT
 
 
 @pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 10, 30])
 def test_bound_discriminant_is_the_limit_minus_one_monomial(m):
-    # both sides expanded through entirely different constructions
-    monomial = IntPolynomial([0] * (m + 4) + [4])
-    assert bound_discriminant(m) == DISCRIMINANT_LIMIT - monomial
+    # the closed form 4 z^4 (1 - z^m) - (1 - z)^3 (1 + z)^2, expanded
+    # here, not through the limit polynomial the function starts from
+    one_minus_zm = _difference((1,), [0] * m + [1]).coeffs
+    closed_form = _difference(_product((0, 0, 0, 0, 4), one_minus_zm).coeffs, _TAIL)
+    assert bound_discriminant(m) == closed_form
+    assert closed_form == _difference(DISCRIMINANT_LIMIT.coeffs, [0] * (m + 4) + [4])
 
 
 def test_bound_discriminant_vanishes_at_one():
@@ -158,10 +183,7 @@ def test_real_roots_rejects_non_positive_tolerance():
 
 def _from_roots(*roots):
     """The integer polynomial whose roots are exactly ``roots``."""
-    p = IntPolynomial((1,))
-    for r in map(Fraction, roots):
-        p = p * IntPolynomial((-r.numerator, r.denominator))
-    return p
+    return _product(*[(-r.numerator, r.denominator) for r in map(Fraction, roots)])
 
 
 def test_exact_outputs_are_unchanged():

@@ -339,6 +339,18 @@ def test_module_entry_point():
     assert proc.stdout == "431\n"
 
 
+def test_closed_stdout_exits_1_without_a_traceback():
+    # about 150 KB of CSV, more than a pipe holds, so the writer is still
+    # writing when the reader closes its end after the first line
+    argv = [sys.executable, "-m", "blc", "table", "--max-n", "1000", "--m", "inf"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"n,m,count\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 # One argv that succeeds and one that argparse rejects, per subcommand.
 SHARED_PARSER_CASES = [
     (["count", "--size", "19", "--free", "0"], ["count", "--size", "19"]),

@@ -196,7 +196,8 @@ def test_pickle_and_deepcopy_of_deep_terms():
         chain = Abs(chain)
         spine = App(spine, Index(1))
     for term in (chain, spine):
-        assert pickle.loads(pickle.dumps(term)) == term
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(term, protocol)) == term
         assert copy.deepcopy(term) == term
 
 

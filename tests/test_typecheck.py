@@ -1,5 +1,7 @@
+import copy
 import hashlib
 import math
+import pickle
 import signal
 import sys
 import threading
@@ -343,6 +345,17 @@ def test_deep_types_compare_hash_and_print():
     assert infer(K).type != Arrow(TVar(0), Arrow(TVar(1), TVar(1)))
     assert hash(infer(K)) == hash(Typing(k_type, ()))
     assert repr(Arrow(TVar(0), TVar(1))) == "Arrow(domain=TVar(id=0), codomain=TVar(id=1))"
+
+
+def test_deep_types_pickle_and_deepcopy():
+    # the 5,000-deep principal type, alone and held in both fields of a Typing
+    depth = 5000
+    ty = infer(_abstraction_chain(depth)).type
+    for value in (ty, Typing(ty, (ty, TVar(depth)))):
+        copies = [pickle.loads(pickle.dumps(value, p)) for p in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for back in [*copies, copy.deepcopy(value)]:
+            assert type(back) is type(value) and back is not value
+            assert back == value and hash(back) == hash(value)
 
 
 def test_census_golden_prefix():

@@ -104,6 +104,24 @@ def test_keyword_construction_equals_positional(name):
     assert cls(*fields.values()) == value
 
 
+@pytest.mark.parametrize("name", ["Typing", "AsymptoticReport", "ConvergencePoint"])
+def test_generic_construction_rejects_bad_fields(name):
+    value, _, fields, _ = CASES[name]
+    cls, names, values = type(value), list(fields), list(fields.values())
+    first, last = names[0], names[-1]
+    assert cls(values[0], **dict(zip(names[1:], values[1:]))) == value
+    for args, kwargs, message in [
+        (values[:-1], {}, f"missing field '{last}'"),
+        ([], {k: v for k, v in fields.items() if k != first}, f"missing field '{first}'"),
+        ([*values, None], {}, f"takes {len(names)} fields, got {len(names) + 1}"),
+        (values, {"extra": None}, "unknown field 'extra'"),
+        (values, {first: values[0]}, f"field '{first}' twice"),
+        (values[:-1], {last: values[-1], first: values[0]}, f"field '{first}' twice"),
+    ]:
+        with pytest.raises(TypeError, match=message):
+            cls(*args, **kwargs)
+
+
 @parametrized
 def test_equality_and_hash(name):
     value, _, fields, other = CASES[name]
