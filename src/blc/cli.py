@@ -158,7 +158,8 @@ def _add_format_option(sp) -> None:
 def _add_guard_option(
     sp,
     default: int = 2000,
-    cost: str = "an --all count of size n costs O(n^2), a bounded one about n^3/27",
+    cost: str = "an --all count of size n costs about 7n big-int steps, "
+    "a bounded one about n^3/27 products",
 ) -> None:
     sp.add_argument(
         "--max-n",

@@ -18,13 +18,15 @@ halves the products.
 
 An index worth i + 1 bits cannot exceed n - 1 inside a term of size n,
 so ``count(m, n) == count(math.inf, n)`` for every m >= n - 1.  The
-unbounded counts are the coefficients of one series,
-G = z^2 / (1 - z) + z^2 G + z^2 G^2, so that row costs O(n^2) products.
-A bounded count ``count(m, n)`` with m < n - 1 reads row m + 1 two sizes
-lower, row m + 2 four sizes lower, and so on, until the bound reaches
-the size and the row equals the unbounded one: a cone of about n^3 / 27
-products for m = 0, against the n^3 / 6 of filling every bounded row
-through n.  The table fills only that cone.
+unbounded counts are the coefficients of one algebraic series,
+G = z^2 / (1 - z) + z^2 G + z^2 G^2, so they also satisfy a linear
+recurrence of order 6 (``CountTable.ensure``), and that row costs about
+7 big-integer steps per size.  A bounded count ``count(m, n)`` with
+m < n - 1 reads row m + 1 two sizes lower, row m + 2 four sizes lower,
+and so on, until the bound reaches the size and the row equals the
+unbounded one: a cone of about n^3 / 27 products for m = 0, against the
+n^3 / 6 of filling every bounded row through n.  The table fills only
+that cone.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ class CountTable:
 
     ``_inf`` is the unbounded row and ``_rows[m]`` the row of finite
     bound m, both dense from size 0; a row's length is how far it is
-    filled.  ``ensure(n)`` fills only the unbounded row, in O(n^2);
+    filled.  ``ensure(n)`` fills only the unbounded row, in O(n) steps;
     ``count(m, n)`` fills the bounded rows it reads, which for
     m < n - 1 is the cone of rows m, m + 1, ... through sizes n,
     n - 2, ..., about n^3 / 27 products at m = 0.
@@ -77,15 +79,49 @@ class CountTable:
         return len(self._inf) - 1
 
     def ensure(self, n: int) -> None:
-        """Fill the unbounded row through size ``n`` (no-op if already there)."""
+        """Fill the unbounded row through size ``n`` (no-op if already there).
+
+        From a(0..5) = 0, 0, 1, 1, 2, 2 on, the row follows
+
+            (n + 2) a(n) = 2 (n + 1) a(n - 1) + (n - 2) a(n - 2)
+                         - 4 (n - 2) a(n - 3) + (5n - 18) a(n - 4)
+                         - 2 (n - 4) a(n - 5) - (n - 6) a(n - 6),   n >= 6,
+
+        six products of a big integer by a small one and one exact
+        division per size.  Proof: clearing denominators in
+        G = z^2 / (1 - z) + z^2 G + z^2 G^2 gives
+
+            2 z^2 (1 - z) G = (1 - z)(1 - z^2) - sqrt(R),
+
+        with R the sextic ``asymptotics.SINGULARITY_POLY``.  Write the
+        recurrence as sum_{i=0}^{6} p_i(n) a(n - i) = 0 with
+        p_i(n) = alpha_i n + beta_i (p_0 = n + 2, p_1 = -2(n + 1), ...)
+        and a(k) = 0 for k < 0.  Its left side is the z^n coefficient of
+
+            sum_i z^i (alpha_i z G' + (alpha_i i + beta_i) G),
+
+        and substituting the closed form, with sqrt(R)' = R' / (2 sqrt(R)),
+        turns that series into the polynomial z^2 (4 - 3z - z^3).  Its
+        degree is 5, so the recurrence holds for every n >= 6.
+        """
         if n <= self.max_n:
             return
         with self._lock:
-            inf = self._inf[:]
-            for col in range(len(inf), n + 1):
-                base = col - 2
-                inf.append(1 + inf[base] + _convolution(inf, base) if base >= 0 else 0)
-            self._inf = inf
+            a = self._inf[:]
+            a.extend((0, 0, 1, 1, 2, 2)[len(a) : n + 1])
+            for k in range(len(a), n + 1):
+                a.append(
+                    (
+                        2 * (k + 1) * a[k - 1]
+                        + (k - 2) * a[k - 2]
+                        - 4 * (k - 2) * a[k - 3]
+                        + (5 * k - 18) * a[k - 4]
+                        - 2 * (k - 4) * a[k - 5]
+                        - (k - 6) * a[k - 6]
+                    )
+                    // (k + 2)
+                )
+            self._inf = a
 
     def _fill_cone(self, m: int, n: int) -> None:
         """Fill rows m, m + 1, ... through the sizes ``count(m, n)`` reads."""
@@ -153,8 +189,9 @@ def verify_functional_equation(max_n: int, *, table: CountTable | None = None) -
 
     The three right-hand terms are the variables (one per size >= 2),
     the abstractions and the applications.  The series arithmetic here
-    is written out directly and shares nothing with the table's fill
-    loops, so it is an independent consistency check of every
+    is written out directly and shares nothing with the table's fill,
+    which builds the unbounded row from the linear recurrence in
+    ``CountTable.ensure``, so it is an independent check of every
     coefficient up to ``max_n``.  Returns True iff they all agree.
     """
     if max_n < 2:

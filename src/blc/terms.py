@@ -168,10 +168,8 @@ def decode(bits: str) -> Term:
             stack.append(_ABS if bits[pos] == "0" else _APP)
             pos += 1
             continue
-        run = pos
-        while run < n and bits[run] == "1":
-            run += 1
-        if run >= n:
+        run = bits.find("0", pos)
+        if run < 0:
             raise Truncated("index run of 1s is missing its terminating 0")
         term: Term = Index(run - pos)
         pos = run + 1

@@ -104,6 +104,22 @@ def test_singularity_poly_factors_through_the_limit_discriminant():
     assert _product((-1, 1), DISCRIMINANT_LIMIT.coeffs) == SINGULARITY_POLY
 
 
+def test_counts_square_to_the_sextic():
+    # 2 z^2 (1 - z) G = (1 - z)(1 - z^2) - sqrt(R) with R = SINGULARITY_POLY,
+    # so H = (1 - z)(1 - z^2) - 2 z^2 (1 - z) G squares to R.  The check
+    # squares the counts themselves, so it shares nothing with the
+    # linear recurrence that fills the row.
+    top = 300
+    g = CountTable().count_row(math.inf, top)
+    h = [0] * (top + 1)
+    h[:4] = [1, -1, -1, 1]
+    for k in range(2, top + 1):
+        h[k] -= 2 * (g[k - 2] - (g[k - 3] if k >= 3 else 0))
+    square = _product(h, h).coeffs[: top + 1]
+    sextic = SINGULARITY_POLY.coeffs
+    assert square == sextic + (0,) * (top + 1 - len(sextic))
+
+
 # (1 - z)^3 (1 + z)^2, the tail shared by every discriminant
 _TAIL = _product((1, -1), (1, -1), (1, -1), (1, 1), (1, 1)).coeffs
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import signal
@@ -73,6 +74,27 @@ def test_bounded_by_all_bit_strings():
         assert count(math.inf, n) <= 2**n
 
 
+def test_unbounded_row_is_pinned():
+    # sha256 of the row through size 3000 as a self-convolution fill
+    # builds it, a method that shares nothing with the linear recurrence
+    row = CountTable(3000)._inf
+    digest = hashlib.sha256(",".join(map(str, row)).encode()).hexdigest()
+    assert digest == "ae4870f48b3c269e19f5b99747226fb02bbe8281716b3e2cdbac391a44d9f474"
+
+
+@pytest.mark.parametrize("start", range(9))
+def test_uneven_ensure_steps_match_a_one_shot_fill(start):
+    # Starts 0..8 put the row's end before, inside and past the six seed
+    # values the recurrence starts from.
+    table = CountTable(start)
+    reached = start
+    for step in (0, 1, 2, 5, 13, 4, 40, 200):
+        table.ensure(start + step)
+        reached = max(reached, start + step)
+        assert table.max_n == reached
+    assert table._inf == CountTable(start + 200)._inf
+
+
 def test_growth_ratio_settles():
     table = CountTable(220)
     hi = table.count(math.inf, 220)
@@ -106,6 +128,7 @@ def test_functional_equation_holds():
     assert verify_functional_equation(2)
     assert verify_functional_equation(19)
     assert verify_functional_equation(150)
+    assert verify_functional_equation(600)
 
 
 def test_functional_equation_detects_corruption():
@@ -197,7 +220,8 @@ def test_interrupted_fill_leaves_the_table_consistent():
     previous = signal.signal(signal.SIGALRM, interrupt)
     cut = 0
     try:
-        # Short delays cut the unbounded row, longer ones the closed cone.
+        # The delays cut the closed cone at different points; the
+        # unbounded row fills too fast here to be cut (see the next test).
         for delay in (0.0005, 0.002, 0.02, 0.08):
             table = CountTable()
             signal.setitimer(signal.ITIMER_REAL, delay)
@@ -213,6 +237,40 @@ def test_interrupted_fill_leaves_the_table_consistent():
             assert table.count_row(math.inf, filled) == fresh.count_row(math.inf, filled)
             assert [table.count(m, n) for m in bounds for n in sizes] == want
             assert table.max_n == fresh.max_n
+    finally:
+        signal.signal(signal.SIGALRM, previous)
+    assert cut
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs interval timers")
+def test_interrupted_unbounded_fill_claims_no_size_it_did_not_finish():
+    class Interrupted(Exception):
+        pass
+
+    def interrupt(signum, frame):
+        raise Interrupted
+
+    big = 10000
+    fresh = CountTable()
+    sizes = (0, 5, 6, CONE_TOP, 2000, big)
+    want = [fresh.count(math.inf, n) for n in sizes]
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    cut = 0
+    try:
+        for delay in (0.001, 0.003, 0.008):
+            table = CountTable(CONE_TOP)
+            signal.setitimer(signal.ITIMER_REAL, delay)
+            try:
+                table.count(math.inf, big)
+            except Interrupted:
+                cut += 1
+                # The row is published whole or not at all.
+                assert table.max_n in (CONE_TOP, big)
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            assert table._inf == fresh._inf[: table.max_n + 1]
+            assert [table.count(math.inf, n) for n in sizes] == want
+            assert table._inf == fresh._inf
     finally:
         signal.signal(signal.SIGALRM, previous)
     assert cut
