@@ -12,16 +12,16 @@ positive root ``sigma(m)`` decreases to rho as m grows.
 Root isolation is exact and in integers only: a Sturm chain of primitive
 integer polynomials, halving until each cell holds one root, then sign
 bisection, at points that share one denominator.  The constant chain and
-the scaled counts are evaluated in integers and Fractions too, square
-roots by ``math.isqrt`` to 2**-160 or finer, and each value is rounded to
-float once.
+the scaled counts are evaluated in integers too, every exact value held
+as a (numerator, denominator) pair, square roots by ``math.isqrt`` to
+2**-160 or finer, and each value is rounded to float once by int true
+division, which rounds correctly.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Iterable
-from fractions import Fraction
 from functools import lru_cache
 
 from . import counting
@@ -32,7 +32,6 @@ __all__ = [
     "SINGULARITY_POLY",
     "DISCRIMINANT_LIMIT",
     "bound_discriminant",
-    "sturm_root_count",
     "real_roots",
     "sigma",
     "AsymptoticReport",
@@ -57,14 +56,6 @@ class IntPolynomial(Record):
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1  # -1 for the zero polynomial
-
-    def __call__(self, x):
-        """Horner evaluation; exact for int/Fraction x, and works for
-        float arguments as well."""
-        acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
 
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(k * c for k, c in enumerate(self.coeffs) if k)
@@ -148,29 +139,37 @@ def _sturm_chain(p: IntPolynomial) -> list[list[int]]:
     return chain
 
 
-def _scale(lo, hi, tolerance) -> tuple[int, int, int, int]:
-    """[lo, hi] on one integer scale: lo = x_lo / den, hi = x_hi / den.
-    Halving [lo, hi] until its cells are no wider than ``tolerance`` ends
-    at cells ``finest`` wide, and every point that halving visits,
-    midpoints of the last cells included, is an integer over den."""
-    a, b, eps = Fraction(lo), Fraction(hi), Fraction(tolerance)
-    if a > b:
+def _scale(lo, hi, eps) -> tuple[int, int, int, int]:
+    """[lo, hi] on one integer scale: lo = x_lo / den, hi = x_hi / den,
+    for ends and a positive tolerance eps given as (numerator,
+    denominator) pairs with positive denominators.  Halving [lo, hi]
+    until its cells are no wider than eps ends at cells ``finest`` wide,
+    and every point that halving visits, midpoints of the last cells
+    included, is an integer over den."""
+    (a, a_den), (b, b_den), (e, e_den) = lo, hi, eps
+    width = b * a_den - a * b_den  # (hi - lo) * a_den * b_den
+    if width < 0:
         raise ValueError("need lo <= hi")
-    if eps <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    halvings = max(math.ceil((b - a) / eps) - 1, 0).bit_length()
-    den = math.lcm(a.denominator, b.denominator) << (halvings + 1)
-    x_lo, x_hi = int(a * den), int(b * den)
+    cells = -(-width * e_den // (a_den * b_den * e))  # ceil((hi - lo) / eps)
+    halvings = max(cells - 1, 0).bit_length()
+    den = math.lcm(a_den, b_den) << (halvings + 1)
+    x_lo, x_hi = a * (den // a_den), b * (den // b_den)
     return x_lo, x_hi, den, (x_hi - x_lo) >> halvings
 
 
-def _sign(cs: list[int], x: int, den: int) -> int:
-    """Sign of the polynomial cs at x / den: that of the integer
-    den**degree * cs(x / den), by homogeneous Horner evaluation."""
+def _horner(cs: list[int], x: int, den: int) -> int:
+    """The integer den**degree * cs(x / den), by homogeneous Horner
+    evaluation."""
     acc, w = cs[-1], 1
     for c in cs[-2::-1]:
         w *= den
         acc = acc * x + c * w
+    return acc
+
+
+def _sign(cs: list[int], x: int, den: int) -> int:
+    """Sign of the polynomial cs at x / den."""
+    acc = _horner(cs, x, den)
     return (acc > 0) - (acc < 0)
 
 
@@ -203,32 +202,25 @@ def _simplest_between(a: int, b: int, den: int) -> tuple[int, int]:
         p, q, r, s = s, r - whole * s, q, p - whole * q
 
 
-def _bisect(q: list[int], a: int, b: int, den: int, finest: int, sign_a: int) -> Fraction:
+def _bisect(q: list[int], a: int, b: int, den: int, finest: int, sign_a: int) -> tuple[int, int]:
     """The one root of q in (a / den, b / den), where q has sign sign_a
-    just right of a / den: the point it sits on if bisection visits it,
-    else the simplest rational of its cell that is ``finest`` wide if
-    that is a root, else the midpoint of that cell."""
+    just right of a / den, as (numerator, denominator): the point it sits
+    on if bisection visits it, else the simplest rational of its cell
+    that is ``finest`` wide if that is a root, else the midpoint of that
+    cell."""
     while b - a > finest:
         x = (a + b) // 2
         s = _sign(q, x, den)
         if not s:
-            return Fraction(x, den)
+            return x, den
         if s == sign_a:
             a = x
         else:
             b = x
     num, d = _simplest_between(a, b, den)
     if not _sign(q, num, d):
-        return Fraction(num, d)
-    return Fraction((a + b) // 2, den)
-
-
-def sturm_root_count(p: IntPolynomial, lo, hi) -> int:
-    """Number of distinct real roots of p in the half-open interval
-    (lo, hi], multiplicity ignored.  Exact."""
-    x_lo, x_hi, den, _ = _scale(lo, hi, 1)  # only the ends are used
-    chain = _sturm_chain(p)
-    return _variations(chain, x_lo, den)[0] - _variations(chain, x_hi, den)[0]
+        return num, d
+    return (a + b) // 2, den
 
 
 def real_roots(p: IntPolynomial, lo, hi, tolerance: float = 1e-12) -> list[float]:
@@ -245,23 +237,26 @@ def real_roots(p: IntPolynomial, lo, hi, tolerance: float = 1e-12) -> list[float
     """
     if not p.coeffs:
         raise ValueError("the zero polynomial vanishes everywhere")
-    x_lo, x_hi, den, finest = _scale(lo, hi, tolerance)
+    if tolerance <= 0:
+        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    ratios = lo.as_integer_ratio(), hi.as_integer_ratio(), tolerance.as_integer_ratio()
+    x_lo, x_hi, den, finest = _scale(*ratios)
     chain = _sturm_chain(p)
     v_lo, s_lo = _variations(chain, x_lo, den)
-    roots = [] if s_lo else [Fraction(x_lo, den)]
+    roots = [] if s_lo else [(x_lo, den)]
     cells = [(x_lo, x_hi, v_lo, *_variations(chain, x_hi, den))]
     while cells:  # depth first, left half first: roots come out ascending
         a, b, v_a, v_b, s_b = cells.pop()
         inside = v_a - v_b
         if inside == 1:
-            roots.append(_bisect(chain[0], a, b, den, finest, -s_b) if s_b else Fraction(b, den))
+            roots.append(_bisect(chain[0], a, b, den, finest, -s_b) if s_b else (b, den))
         elif inside and b - a <= finest:
-            roots += [Fraction((a + b) // 2, den)] * inside
+            roots += [((a + b) // 2, den)] * inside
         elif inside:
             x = (a + b) // 2
             v, s = _variations(chain, x, den)
             cells += [(x, b, v, v_b, s_b), (a, x, v_a, v, s)]
-    return [float(x) for x in roots]
+    return [num / d for num, d in roots]
 
 
 def sigma(m: int, tolerance: float = 1e-12) -> float:
@@ -281,21 +276,17 @@ def sigma(m: int, tolerance: float = 1e-12) -> float:
 
 
 @lru_cache(maxsize=None)
-def _rho_exact() -> Fraction:
-    """The dominant singularity as a Fraction within 2**-140."""
+def _rho_exact() -> tuple[int, int]:
+    """The dominant singularity within 2**-140, as (numerator,
+    denominator)."""
     q = list(SINGULARITY_POLY.coeffs)
-    x_lo, x_hi, den, finest = _scale(Fraction(2, 5), Fraction(3, 5), Fraction(1, 2**140))
+    x_lo, x_hi, den, finest = _scale((2, 5), (3, 5), (1, 2**140))
     assert _sign(q, x_lo, den) > 0 > _sign(q, x_hi, den)
     return _bisect(q, x_lo, x_hi, den, finest, 1)
 
 
-# pi to 63 digits, within 1e-62 (about 2**-206)
-_PI = Fraction(314159265358979323846264338327950288419716939937510582097494459, 10**62)
-
-
-def _sqrt(x: Fraction) -> Fraction:
-    """sqrt(x) for x >= 0, rounded down to a multiple of 2**-200."""
-    return Fraction(math.isqrt((x.numerator << 400) // x.denominator), 1 << 200)
+# pi to 63 digits, within 1e-62 (about 2**-206), as (numerator, denominator)
+_PI = (314159265358979323846264338327950288419716939937510582097494459, 10**62)
 
 
 class AsymptoticReport(Record):
@@ -327,8 +318,10 @@ _C_TILDE_NOTE = (
 def constants(tolerance: float = 1e-12) -> AsymptoticReport:
     """Compute the growth constants from scratch.
 
-    The singularity is isolated by exact bisection, the chain is then
-    evaluated in Fractions of it, each value rounded to float once:
+    The singularity is isolated by exact bisection as rho = r / d, the
+    chain is then evaluated exactly in integers over powers of d, square
+    roots rounded down to multiples of 2**-200, and each value rounded to
+    float once:
 
         q_at_rho = -SINGULARITY_POLY'(rho) / (1 - rho)
         c_tilde  = -sqrt(rho * q_at_rho / (1 - rho)) / (2 rho^2)
@@ -340,16 +333,19 @@ def constants(tolerance: float = 1e-12) -> AsymptoticReport:
     derivative at rho.
     """
     roots = real_roots(SINGULARITY_POLY, -4, 2, tolerance)
-    rho = _rho_exact()
-    q_at_rho = -SINGULARITY_POLY.derivative()(rho) / (1 - rho)
-    c_tilde = -_sqrt(rho * q_at_rho / (1 - rho)) / (2 * rho * rho)
-    c = c_tilde / (-2 * _sqrt(_PI))
+    r, d = _rho_exact()
+    # SINGULARITY_POLY'(rho) * d**5, and 1 - rho = (d - r) / d
+    slope = _horner(SINGULARITY_POLY.derivative().coeffs, r, d)
+    q_num, q_den = -slope, d**4 * (d - r)
+    # sqrt(rho * q_at_rho / (1 - rho)) and sqrt(pi), each times 2**200
+    root = math.isqrt((r * q_num << 400) // (q_den * (d - r)))
+    root_pi = math.isqrt((_PI[0] << 400) // _PI[1])
     return AsymptoticReport(
-        rho=float(rho),
-        growth=float(1 / rho),
-        q_at_rho=float(q_at_rho),
-        c_tilde=float(c_tilde),
-        c=float(c),
+        rho=r / d,
+        growth=d / r,
+        q_at_rho=q_num / q_den,
+        c_tilde=-root * d * d / ((r * r) << 201),
+        c=root * d * d / (4 * r * r * root_pi),
         real_roots=tuple(roots),
         note=_C_TILDE_NOTE,
     )
@@ -381,8 +377,8 @@ def convergence_series(
         raise ValueError(f"need max_n >= 2, got {max_n}")
     tbl = table or counting.shared_table()
     bounds = sorted(set(m_values), key=lambda m: (m == math.inf, m))
-    rho = _rho_exact()
-    two_rho = (rho.numerator << 161) // rho.denominator
+    r, d = _rho_exact()
+    two_rho = (r << 161) // d
     points: list[ConvergencePoint] = []
     for m in bounds:
         power = two_rho  # (2 rho)^n never shrinks, so a truncation costs 2**-160 of it

@@ -240,9 +240,7 @@ def _cmd_typecheck(args) -> int:
 
 def _cmd_count_typable(args) -> int:
     _check_guard(args.size, args)
-    if args.jobs < 1:
-        raise UsageError(f"--jobs must be >= 1, got {args.jobs}")
-    value = count_typable(args.size, closed=args.closed, jobs=args.jobs)
+    value = count_typable(args.size, closed=args.closed)
     _emit(
         args,
         {"n": args.size, "closed": args.closed, "count": value},
@@ -338,13 +336,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--closed", action="store_true", help="closed terms only")
     group.add_argument("--all", action="store_true", help="all terms, typable in some context")
-    sp.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        metavar="J",
-        help="accepted but advisory: the census runs in one process (default 1)",
-    )
     _add_guard_option(
         sp,
         default=32,

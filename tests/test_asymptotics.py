@@ -17,7 +17,6 @@ from blc.asymptotics import (
     convergence_series,
     real_roots,
     sigma,
-    sturm_root_count,
 )
 from blc.counting import CountTable
 
@@ -30,7 +29,7 @@ C = 1.021874073
 
 # Exact outputs of the root isolation, recorded from the earlier
 # rational-arithmetic implementation; the integer one must return the
-# very same floats (and the very same Fraction for rho), except that the
+# very same floats (and the very same exact value for rho), except that the
 # sextic's rational root z = 1, which no halving point hits, now comes
 # back exact instead of as 0.9999999999998863.
 SIGMA_0_TO_30 = (
@@ -64,6 +63,14 @@ def _product(*factors):
     return IntPolynomial(out)
 
 
+def _at(p, x):
+    """p(x) by Horner's rule, exact for an int or Fraction x."""
+    acc = 0
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
+
+
 def _difference(a, b):
     """Coefficients of a - b, for coefficient sequences of any lengths."""
     width = max(len(a), len(b))
@@ -76,13 +83,6 @@ class TestIntPolynomial:
         assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
         assert IntPolynomial((0, 0)).coeffs == ()
         assert IntPolynomial().degree == -1
-
-    def test_evaluation(self):
-        p = IntPolynomial((1, -2, 3))  # 3z^2 - 2z + 1
-        assert p(0) == 1
-        assert p(2) == 9
-        assert p(Fraction(1, 2)) == Fraction(3, 4)
-        assert IntPolynomial()(5) == 0
 
     def test_derivative(self):
         p = IntPolynomial((7, 0, 5, 2))  # 2z^3 + 5z^2 + 7
@@ -98,6 +98,9 @@ class TestIntPolynomial:
         assert _product().coeffs == (1,)
         assert _difference((0, 2), (0, 0, 1)).coeffs == (0, 2, -1)
         assert _difference((1, 1), (1, 1)).coeffs == ()
+        p = IntPolynomial((1, -2, 3))  # 3z^2 - 2z + 1
+        assert [_at(p, 0), _at(p, 2), _at(p, Fraction(1, 2))] == [1, 9, Fraction(3, 4)]
+        assert _at(IntPolynomial(), 5) == 0
 
 
 def test_singularity_poly_factors_through_the_limit_discriminant():
@@ -140,7 +143,7 @@ def test_bound_discriminant_is_the_limit_minus_one_monomial(m):
 
 def test_bound_discriminant_vanishes_at_one():
     for m in range(12):
-        assert bound_discriminant(m)(1) == 0
+        assert sum(bound_discriminant(m).coeffs) == 0  # the value at z = 1
     assert bound_discriminant(0) == IntPolynomial((-1, 1, 2, -2, -1, 1))
 
 
@@ -149,20 +152,19 @@ def test_bound_discriminant_rejects_negative():
         bound_discriminant(-1)
 
 
-def test_sturm_root_counts():
-    assert sturm_root_count(SINGULARITY_POLY, -4, 2) == 4
-    assert sturm_root_count(SINGULARITY_POLY, 0, Fraction(99, 100)) == 1
-    assert sturm_root_count(SINGULARITY_POLY, 1, 4) == 0  # (1, 4] excludes 1
-    assert sturm_root_count(SINGULARITY_POLY, Fraction(1, 2), 1) == 2  # rho and 1
-    assert sturm_root_count(SINGULARITY_POLY, Fraction(3, 5), 1) == 1  # the endpoint root
-    assert sturm_root_count(IntPolynomial((1, 0, 1)), -10, 10) == 0  # z^2 + 1
-
-
 def test_real_roots_of_the_sextic():
     roots = real_roots(SINGULARITY_POLY, -4, 2)
     assert len(roots) == 4
     for found, expected in zip(roots, ROOTS_ON_MINUS4_2):
         assert abs(found - expected) < 1e-9
+    # sub-intervals: the roots inside each, rho to the tolerance
+    (rho,) = real_roots(SINGULARITY_POLY, 0, Fraction(99, 100))
+    assert abs(rho - RHO) < 1e-12
+    assert real_roots(SINGULARITY_POLY, 1, 4) == [1.0]  # nothing beyond the left end
+    (rho, one) = real_roots(SINGULARITY_POLY, Fraction(1, 2), 1)
+    assert abs(rho - RHO) < 1e-12 and one == 1.0
+    assert real_roots(SINGULARITY_POLY, Fraction(3, 5), 1) == [1.0]  # the endpoint root
+    assert real_roots(IntPolynomial((1, 0, 1)), -10, 10) == []  # z^2 + 1
 
 
 def test_real_roots_endpoint_cases():
@@ -186,15 +188,22 @@ def test_real_roots_sees_even_multiplicity():
 
 
 def test_real_roots_rejects_zero_polynomial():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^the zero polynomial vanishes everywhere$"):
         real_roots(IntPolynomial(), 0, 1)
 
 
 def test_real_roots_rejects_non_positive_tolerance():
     p = IntPolynomial((-1, 2))
-    for tolerance in (0, -1e-12):
-        with pytest.raises(ValueError):
+    for tolerance, shown in ((0, "0"), (-1e-12, "-1e-12"), (Fraction(-1, 3), "-1/3")):
+        with pytest.raises(ValueError, match=f"^tolerance must be positive, got {shown}$"):
             real_roots(p, 0, 1, tolerance)
+
+
+def test_real_roots_rejects_an_empty_interval():
+    p = IntPolynomial((-1, 2))
+    for lo, hi in ((1, 0), (0.5, 0.25), (Fraction(2, 3), Fraction(1, 3))):
+        with pytest.raises(ValueError, match="^need lo <= hi$"):
+            real_roots(p, lo, hi)
 
 
 def _from_roots(*roots):
@@ -206,7 +215,7 @@ def test_exact_outputs_are_unchanged():
     assert tuple(sigma(m) for m in range(31)) == SIGMA_0_TO_30
     assert tuple(real_roots(SINGULARITY_POLY, -4, 2)) == SEXTIC_ROOTS
     assert constants().real_roots == SEXTIC_ROOTS
-    assert _rho_exact() == RHO_EXACT
+    assert Fraction(*_rho_exact()) == RHO_EXACT
     assert abs(RHO_EXACT - Fraction(RHO)) < 1e-16
     for m in range(31):
         assert real_roots(bound_discriminant(m), 0, 1)[0] == SIGMA_0_TO_30[m]
@@ -220,9 +229,8 @@ def test_real_roots_separates_roots_closer_than_a_scan_grid():
     assert len(roots) == 2
     assert abs(Fraction(roots[0]) - Fraction(1, 3)) <= 1e-12
     assert abs(Fraction(roots[1]) - near) <= 1e-12
-    assert sturm_root_count(p, 0, 1) == 2
-    assert sturm_root_count(p, 0, Fraction(1, 3)) == 1
-    assert sturm_root_count(p, Fraction(1, 3), near) == 1
+    assert real_roots(p, 0, Fraction(1, 3)) == [1 / 3]
+    assert real_roots(p, Fraction(1, 3), near) == [1 / 3, float(near)]  # both ends
     # at a coarser tolerance both fall in one final cell and share its midpoint
     coarse = real_roots(p, 0, 1, 2**-20)
     assert coarse[0] == coarse[1] and abs(Fraction(coarse[0]) - near) <= 2**-20
@@ -236,22 +244,23 @@ def test_real_roots_returns_a_visited_dyadic_root_exactly():
     roots = real_roots(p, 0, 1)
     assert roots[:2] == [5 / 2**35, 0.375]
     assert roots[2] == 0.5 + 2**-41
-    assert sturm_root_count(p, 0, Fraction(3, 8)) == 2
-    assert sturm_root_count(p, Fraction(3, 8), 1) == 1
+    # on sub-intervals: two roots up to 3/8, one beyond it
+    (low, end) = real_roots(p, 0, Fraction(3, 8))
+    assert abs(low - 5 / 2**35) <= 1e-12 and end == 0.375
+    (start, high) = real_roots(p, Fraction(3, 8), 1)
+    assert start == 0.375 and abs(high - 0.5) <= 1e-12
 
 
 def test_real_roots_on_non_dyadic_endpoints():
     p = _from_roots(Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))
     # both ends are roots; the midpoint 1/2 is the first point visited
     assert real_roots(p, Fraction(1, 3), Fraction(2, 3)) == [1 / 3, 0.5, 2 / 3]
-    assert sturm_root_count(p, Fraction(1, 3), Fraction(2, 3)) == 2  # (1/3, 2/3]
     # neither end is a root, and no root is a visited point
     roots = real_roots(p, Fraction(1, 7), Fraction(5, 7))
     assert len(roots) == 3
     for found, exact in zip(roots, (Fraction(1, 3), Fraction(1, 2), Fraction(2, 3))):
         assert abs(Fraction(found) - exact) <= 1e-12
-    assert sturm_root_count(p, Fraction(1, 7), Fraction(5, 7)) == 3
-    assert sturm_root_count(p, Fraction(1, 7), Fraction(1, 3)) == 1
+    assert real_roots(p, Fraction(1, 7), Fraction(1, 3)) == [1 / 3]
 
 
 def test_rational_roots_come_back_exact():
@@ -327,9 +336,9 @@ class TestConstants:
     def test_q_at_rho_two_routes_agree(self):
         # the limit -SINGULARITY_POLY'(rho)/(1 - rho) equals the
         # derivative of the deflated quintic at rho
-        rho = _rho_exact()
-        lhopital = -SINGULARITY_POLY.derivative()(rho) / (1 - rho)
-        deflated = DISCRIMINANT_LIMIT.derivative()(rho)
+        rho = Fraction(*_rho_exact())
+        lhopital = -_at(SINGULARITY_POLY.derivative(), rho) / (1 - rho)
+        deflated = _at(DISCRIMINANT_LIMIT.derivative(), rho)
         assert abs(lhopital - deflated) < Fraction(1, 2**90)
 
     def test_note_documents_the_radical_discrepancy(self):
@@ -369,7 +378,7 @@ class TestConvergence:
     def test_values_match_exact_fractions(self, big_table):
         # value**2 against count**2 * rho**(2n) * n**3, all exact: no
         # fixed point, no square root
-        rho = _rho_exact()
+        rho = Fraction(*_rho_exact())
         points = convergence_series([0, math.inf], 600, table=big_table)
         by_key = {(pt.m, pt.n): pt.value for pt in points}
         for m in (0, math.inf):

@@ -260,12 +260,13 @@ def test_count_typable_has_its_own_guard(capsys):
     assert out == ""
     assert "--max-n guard (32)" in err
     assert time.perf_counter() - start < 1.0
-    # an explicit --max-n lifts the guard: this call gets as far as --jobs
-    code, _, err = run_cli(
-        capsys, "count-typable", "--size", "40", "--all", "--max-n", "40", "--jobs", "0"
-    )
+    # the guard is --max-n itself: below the size it refuses, at the size it runs
+    code, out, err = run_cli(capsys, "count-typable", "--size", "12", "--all", "--max-n", "11")
     assert code == 2
-    assert "--jobs" in err and "guard" not in err
+    assert out == "" and "--max-n guard (11)" in err
+    code, out, _ = run_cli(capsys, "count-typable", "--size", "12", "--all", "--max-n", "12")
+    assert code == 0
+    assert out == "58\n"  # the golden all-terms column at n = 12
 
 
 def test_asymptotics_json(capsys):

@@ -1,6 +1,7 @@
 """The library runs on the standard library alone, and its import stays
 light: no ``dataclasses`` or ``typing``, whose imports cost more than the
-whole package."""
+whole package, and no ``fractions`` (with the ``decimal`` it loads): exact
+values are integer (numerator, denominator) pairs."""
 
 import ast
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SOURCES = sorted((ROOT / "src" / "blc").glob("*.py"))
-HEAVY = ["dataclasses", "inspect", "typing"]
+HEAVY = ["dataclasses", "decimal", "fractions", "inspect", "typing"]
 SUBMODULES = ["asymptotics", "counting", "enumeration", "terms", "typecheck"]
 
 
