@@ -1,7 +1,6 @@
-"""Every demo script runs to completion, and the enumeration and
-asymptotics demos print their recorded output byte for byte (unrank
-lists, seeded draws, typable samples, constants, roots and sigma
-values)."""
+"""Every demo script runs to completion and prints its recorded output
+byte for byte (codes, counts, principal types, unrank lists, seeded
+draws, typable samples, constants, roots and sigma values)."""
 
 import os
 import subprocess
@@ -12,6 +11,104 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+TERMS_OUTPUT = """\
+identity: \\1
+  code: 0010
+  size: 4
+
+K (drops its second argument)
+  text: \\\\2
+  code: 0000110 (7 bits)
+  free indices up to: 0
+
+self-application
+  text: \\(1 1)
+  code: 00011010 (8 bits)
+  free indices up to: 0
+
+S combinator
+  text: \\\\\\((3 1) (2 1))
+  code: 00000001011110100111010 (23 bits)
+  free indices up to: 0
+
+an open term, index 2 is free
+  text: \\(1 2)
+  code: 000110110 (9 bits)
+  free indices up to: 1
+
+round trip: 00000111010 -> \\\\(2 1)
+rejected '0010x': bit string may contain only '0' and '1'
+rejected '00100': term complete after 4 bits, 1 left over
+rejected '01': input ended inside a term (after 2 bits)
+"""
+
+COUNTING_OUTPUT = """\
+n    closed      all
+0    0           0
+1    0           0
+2    0           1
+3    0           1
+4    1           2
+5    0           2
+6    1           4
+7    1           5
+8    2           10
+9    1           14
+10   6           27
+11   5           41
+12   13          78
+13   14          126
+14   37          237
+15   44          399
+16   101         745
+17   134         1292
+18   298         2404
+19   431         4259
+
+count(m, 9) for m = 0..11: [1, 5, 8, 10, 12, 13, 13, 13, 14, 14, 14, 14]
+saturates at m = n - 1 = 8 with value 14
+
+count(inf,  40) / count(inf,  39) = 1.89226813
+count(inf,  80) / count(inf,  79) = 1.92711348
+count(inf, 160) / count(inf, 159) = 1.94516462
+count(inf, 320) / count(inf, 319) = 1.95427578
+
+functional equation holds through n = 150: True
+"""
+
+TYPES_OUTPUT = """\
+I        \\1                     : a -> a
+K        \\\\2                    : a -> b -> a
+S        \\\\\\((3 1) (2 1))       : (a -> b -> c) -> (a -> b) -> a -> c
+apply    \\\\(2 1)                : (a -> b) -> a -> b
+compose  \\\\\\(3 (2 1))           : (a -> b) -> (c -> a) -> c -> b
+
+\\(1 1)                 typable: False
+(\\(1 1) \\(1 1))        typable: False
+
+(1 2) in a 2-slot context:
+  context: ['a -> b', 'a']
+  type:    a
+
+n    typable   closed     fraction
+4    1         1          1.000
+6    1         1          1.000
+7    1         1          1.000
+8    1         2          0.500
+9    1         1          1.000
+10   5         6          0.833
+11   4         5          0.800
+12   9         13         0.692
+13   13        14         0.929
+14   23        37         0.622
+15   29        44         0.659
+16   67        101        0.663
+17   94        134        0.701
+18   179       298        0.601
+19   285       431        0.661
+20   503       883        0.570
+"""
 
 ENUMERATION_OUTPUT = """\
 closed terms of size 10 (6 of them):
@@ -107,3 +204,17 @@ def test_enumeration_demo_output_is_unchanged():
     proc = run_demo(ROOT / "demos" / "03_enumerate_and_sample.py")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ENUMERATION_OUTPUT
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        ("01_terms_and_codes.py", TERMS_OUTPUT),
+        ("02_counting.py", COUNTING_OUTPUT),
+        ("04_types.py", TYPES_OUTPUT),
+    ],
+)
+def test_demo_output_is_unchanged(name, expected):
+    proc = run_demo(ROOT / "demos" / name)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == expected
