@@ -18,7 +18,6 @@ from .terms import (
     Truncated,
     decode,
     encode,
-    is_closed,
     max_free_index,
     parse_text,
     render,

@@ -53,10 +53,6 @@ class IntPolynomial(Record):
             cs.pop()
         setfield(self, "coeffs", tuple(cs))
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1  # -1 for the zero polynomial
-
     def derivative(self) -> "IntPolynomial":
         return IntPolynomial(k * c for k, c in enumerate(self.coeffs) if k)
 
@@ -239,6 +235,9 @@ def real_roots(p: IntPolynomial, lo, hi, tolerance: float = 1e-12) -> list[float
         raise ValueError("the zero polynomial vanishes everywhere")
     if tolerance <= 0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
+    for name, x in (("lo", lo), ("hi", hi), ("tolerance", tolerance)):
+        if x != x or abs(x) == math.inf:
+            raise ValueError(f"{name} must be finite, got {x}")
     ratios = lo.as_integer_ratio(), hi.as_integer_ratio(), tolerance.as_integer_ratio()
     x_lo, x_hi, den, finest = _scale(*ratios)
     chain = _sturm_chain(p)

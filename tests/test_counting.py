@@ -198,6 +198,35 @@ def test_cone_fill_matches_the_recurrence_in_any_order(reference):
         assert table._inf == reference[math.inf][: len(table._inf)]
 
 
+@pytest.mark.parametrize("warm", ["fresh", "larger bounded count", "ensure"])
+def test_cone_rows_are_the_counts_they_serve(reference, warm):
+    for m in (0, 1, 2, 5, math.inf):
+        for n in range(61):
+            table = CountTable()
+            if warm == "larger bounded count":
+                table.count(0, n + 8)
+            elif warm == "ensure":
+                table.ensure(100)
+            cone = table.cone(m, n)
+            assert len(cone) == n // 2 + 1, (m, n)
+            for d, row in enumerate(cone):
+                want = reference[m + d][: n - 2 * d + 1]
+                assert row[: n - 2 * d + 1] == want, (m, n, d)
+                # the unbounded row stands in exactly where the class saturates
+                assert (row is table._inf) == (m + d >= n - 2 * d - 1), (m, n, d)
+
+
+def test_cone_fills_no_more_than_count():
+    for m in (0, 1, 2, 5, math.inf):
+        for n in range(61):
+            by_cone, by_count = CountTable(), CountTable()
+            by_cone.cone(m, n)
+            by_count.count(m, n)
+            assert by_cone.max_n <= by_count.max_n, (m, n)
+            bounded = [sum(map(len, t._rows)) for t in (by_cone, by_count)]
+            assert bounded[0] <= bounded[1], (m, n)
+
+
 def test_unbounded_count_fills_no_bounded_row():
     table = CountTable()
     assert table.count(math.inf, 2000) > 0

@@ -330,7 +330,7 @@ def test_typed_unrank_matches_typing_the_finished_term(codes_by_size):
             typable = set()
             for k in range(1, table.count(m, n) + 1):
                 term = unrank(m, n, k, table=table)
-                typed = _unrank(table, m, n, k, True)
+                typed = _unrank(table.cone(m, n), m, n, k, True)
                 if is_typable(term, max_free_index(term)):
                     assert typed == term, (m, n, k)
                     typable.add(encode(term))

@@ -13,7 +13,6 @@ from blc.terms import (
     Truncated,
     decode,
     encode,
-    is_closed,
     max_free_index,
     parse_text,
     render,
@@ -103,7 +102,6 @@ def test_index_stores_a_bool_as_an_int():
 )
 def test_max_free_index(term, expected):
     assert max_free_index(term) == expected
-    assert is_closed(term) == (expected == 0)
 
 
 def test_max_free_index_agrees_with_set_of_free_indices():
