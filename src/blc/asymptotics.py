@@ -380,10 +380,11 @@ def convergence_series(
     two_rho = (r << 161) // d
     points: list[ConvergencePoint] = []
     for m in bounds:
+        row = tbl.count_row(m, max_n)
         power = two_rho  # (2 rho)^n never shrinks, so a truncation costs 2**-160 of it
         for n in range(2, max_n + 1):
             power = power * two_rho >> 160
-            s = tbl.count(m, n)
+            s = row[n]
             if s:
                 scaled = s * power * n * math.isqrt(n << 320)
                 points.append(ConvergencePoint(m, n, scaled / (1 << (320 + n))))

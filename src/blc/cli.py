@@ -21,11 +21,13 @@ range / free index above bound, 4 resource limit.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
 import os
 import sys
+import threading
 
 from . import __version__, counting
 from .asymptotics import constants, convergence_series
@@ -182,12 +184,11 @@ def _cmd_table(args) -> int:
     if args.max_n < 0:
         raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
     bounds = _parse_bounds(args.m)
-    table = counting.shared_table()
     print("n,m,count")
     for m in bounds:
         label = _bound_text(m)
-        for n in range(args.max_n + 1):
-            print(f"{n},{label},{table.count(m, n)}")
+        for n, value in enumerate(counting.count_row(m, args.max_n)):
+            print(f"{n},{label},{value}")
     return 0
 
 
@@ -374,31 +375,64 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+class _NoDigitLimit:
+    """Lifts Python's cap on int <-> decimal text (4,300 digits by
+    default; the unbounded counts pass it near size 14,700) while any
+    ``main`` runs, and puts back the caller's cap when the last returns.
+    The cap is process-wide, so other threads see it lifted meanwhile.
+    """
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self._users = 0
+        self._saved = 0
+
+    def __enter__(self) -> None:
+        with self._lock:
+            if not self._users:
+                self._saved = sys.get_int_max_str_digits()
+                sys.set_int_max_str_digits(0)
+            self._users += 1
+
+    def __exit__(self, *exc) -> None:
+        with self._lock:
+            self._users -= 1
+            if not self._users:
+                sys.set_int_max_str_digits(self._saved)
+
+
+# Pythons before 3.10.7 have no cap to lift.
+_no_digit_limit = (
+    _NoDigitLimit() if hasattr(sys, "set_int_max_str_digits") else contextlib.nullcontext()
+)
+
+
 def main(argv: list[str] | None = None) -> int:
-    try:
-        args = _parser().parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
-        code = args.func(args)
-        sys.stdout.flush()  # so a closed pipe raises here, not at exit
-        return code
-    except BrokenPipeError:
-        # the reader has gone: discard the rest, so the flush at exit cannot fail too
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (NoTerms, OutOfRange, FreeIndexExceeded) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except AttemptsExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (MemoryError, RecursionError):
-        print("error: resource limit hit", file=sys.stderr)
-        return 4
+    with _no_digit_limit:
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as exc:
+            return exc.code if isinstance(exc.code, int) else 2
+        try:
+            code = args.func(args)
+            sys.stdout.flush()  # so a closed pipe raises here, not at exit
+            return code
+        except BrokenPipeError:
+            # the reader has gone: discard the rest, so the flush at exit cannot fail too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
+        except UsageError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        except (NoTerms, OutOfRange, FreeIndexExceeded) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 3
+        except AttemptsExhausted as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 4
+        except (MemoryError, RecursionError):
+            print("error: resource limit hit", file=sys.stderr)
+            return 4
 
 
 if __name__ == "__main__":

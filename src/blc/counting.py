@@ -27,7 +27,9 @@ and so on, until the bound reaches the size and the row equals the
 unbounded one: a cone of about n^3 / 27 products for m = 0, against the
 n^3 / 6 of filling every bounded row through n.  The table fills only
 that cone, and ``CountTable.cone`` hands its rows to the walks that read
-it: ``unrank``, ``rank`` and the closed census.
+it: ``unrank``, ``rank`` and the closed census.  A long fill packs four
+row entries per integer, which count <= 2^size keeps apart, and so
+makes a quarter of the Python-level products (``_extend_row``).
 """
 
 from __future__ import annotations
@@ -37,11 +39,58 @@ import threading
 from operator import mul
 
 
-def _convolution(row: list[int], base: int) -> int:
-    """sum_{k=2}^{base-2} row[k] * row[base - k], by its k <-> base - k symmetry."""
-    half = sum(map(mul, row[2 : (base + 1) // 2], row[base - 2 : base // 2 : -1]))
+def _convolution(row: list[int], base: int, k: int = 2, half: int = 0) -> int:
+    """sum_{i=2}^{base-2} row[i] * row[base - i], by its i <-> base - i
+    symmetry, given ``half``, the sum of the pairs with i < k."""
+    half += sum(map(mul, row[k : (base + 1) // 2], row[base - k : base // 2 : -1]))
     mid = base // 2
     return 2 * half + (row[mid] * row[mid] if base % 2 == 0 else 0)
+
+
+# Where ``_extend_row``'s packed pass starts to pay (measured; see there).
+_PACKED_FROM = 64
+_PACKED_MIN_COLUMNS = 16
+
+
+def _extend_row(row: list[int], above: list[int], last: int) -> None:
+    """Append row[c] = above[c - 2] + _convolution(row, c - 2) for
+    c = len(row)..last; ``above`` is the abstraction body's row.
+
+    No term has size 0 or 1, so column c reads row entries below c - 3,
+    and columns c..c + 3 can share one pass.  With ``packs[i]`` holding
+    row[i..i + 3] in slots of w = last + 2 bits, b = c - 2 and
+    k = (b + 1) // 2, slot t of sum_{i=2}^{k-1} row[i] * packs[b - i]
+    is the part i < k of column c + t's half-convolution, and
+    ``_convolution`` adds the at most two pairs left.  A read slot is
+    exact: distinct codes of size s are distinct s-bit strings, so
+    row[s] <= 2^s, and a slot is at most the entry it builds, below
+    2^last < 2^w; only slots past ``last`` can carry, into slots that
+    are never read either.  The packs cost O(len(row)) to build, so the
+    pass starts at size 64 and needs 16 or more columns: on 2-core x86_64
+    it took 1.8, 1.2, 0.85 and 0.65 times the direct time to add 4, 8, 16
+    and 32 columns to rows of 120-300 entries, and lost on shorter rows.
+    """
+    split = max(len(row), _PACKED_FROM)
+    if last + 1 - split < _PACKED_MIN_COLUMNS:
+        split = last + 1
+    for col in range(len(row), split):
+        row.append(above[col - 2] + _convolution(row, col - 2))
+    if split > last:
+        return
+    w = last + 2
+    mask = (1 << w) - 1
+    packs = [
+        row[i] | row[i + 1] << w | row[i + 2] << 2 * w | row[i + 3] << 3 * w
+        for i in range(split - 3)
+    ]
+    for first in range(split, last + 1, 4):
+        b = first - 2
+        k = (b + 1) // 2
+        acc = sum(map(mul, row[2:k], packs[b - 2 : b - k : -1]))
+        for col in range(first, min(first + 4, last + 1)):
+            row.append(above[col - 2] + _convolution(row, col - 2, k, acc & mask))
+            acc >>= w
+            packs.append(packs[-1] >> w | row[col] << 3 * w)
 
 
 def _saturation_depth(m: int | float, n: int) -> int:
@@ -64,7 +113,9 @@ class CountTable:
     filled.  ``ensure(n)`` fills only the unbounded row, in O(n) steps;
     ``count(m, n)`` fills the bounded rows it reads, which for
     m < n - 1 is the cone of rows m, m + 1, ... through sizes n,
-    n - 2, ..., about n^3 / 27 products at m = 0.
+    n - 2, ..., about n^3 / 27 products at m = 0.  Fills of 16 or more
+    columns from size 64 on take four columns per big-integer product,
+    in slots that count(m, s) <= 2^s keeps apart (``_extend_row``).
 
     A fill holds the table's lock, builds the unbounded row in a local
     list and publishes it with one assignment, and appends a bounded
@@ -145,12 +196,10 @@ class CountTable:
                 row = rows[j]
                 last = n - 2 * (j - m)
                 row.extend(inf[len(row) : j + 2])
-                for col in range(len(row), last + 1):
-                    base = col - 2
-                    # col > j + 1, so no variable fits; the abstraction
-                    # body's row j + 1 saturates at sizes <= j + 2.
-                    body = inf[base] if base <= j + 2 else rows[j + 1][base]
-                    row.append(body + _convolution(row, base))
+                # From column j + 2 on no variable fits.  Row j + 1 starts
+                # as the unbounded row, and the top row reads its body
+                # only at sizes <= top + 1, where row top saturates.
+                _extend_row(row, rows[j + 1] if j + 1 < top else inf, last)
 
     def count(self, m: int | float, n: int) -> int:
         """Exact count for free-index bound ``m`` (math.inf allowed)."""
@@ -182,7 +231,10 @@ class CountTable:
         return bounded + [self._inf] * (n // 2 + 1 - top)
 
     def count_row(self, m: int | float, max_n: int) -> list[int]:
-        """Counts for sizes 0..max_n at bound ``m``."""
+        """Counts for sizes 0..max_n at bound ``m``, from one fill at max_n
+        rather than one column per size."""
+        if max_n >= 0:
+            self.count(m, max_n)
         return [self.count(m, n) for n in range(max_n + 1)]
 
 

@@ -1,5 +1,7 @@
+import decimal
 import hashlib
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -9,7 +11,9 @@ import pytest
 
 from blc import __version__, cli
 from blc.cli import main
-from blc.terms import decode, max_free_index, size
+from blc.counting import count
+from blc.enumeration import rank, unrank
+from blc.terms import decode, encode, max_free_index, size
 from blc.typecheck import is_typable
 
 
@@ -439,3 +443,86 @@ def test_import_leaves_cli_and_argparse_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# Python caps int <-> decimal text at 4,300 digits by default (not before
+# 3.10.7); the unbounded counts pass the cap near size 14,700.
+digit_cap = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit cap"
+)
+
+
+def digits(value):
+    # Decimal converts with no cap, so the expected text needs no lifting
+    return str(decimal.Decimal(value))
+
+
+@digit_cap
+def test_counts_and_ranks_past_the_digit_cap(capsys):
+    cap = sys.get_int_max_str_digits()
+    value = count(math.inf, 15000)
+    assert len(digits(value)) > cap
+    args = ("count", "--size", "15000", "--all", "--max-n", "15000")
+    assert run_cli(capsys, *args) == (0, digits(value) + "\n", "")
+    code, out, err = run_cli(capsys, *args, "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out, parse_int=decimal.Decimal)["count"] == decimal.Decimal(value)
+    last = encode(unrank(math.inf, 15000, value))
+    args = ("rank", "--term", last, "--all", "--max-n", "15000")
+    assert run_cli(capsys, *args) == (0, digits(value) + "\n", "")
+    assert sys.get_int_max_str_digits() == cap
+
+
+@digit_cap
+def test_table_prints_counts_past_the_digit_cap(capsys):
+    code, out, err = run_cli(capsys, "table", "--max-n", "15000", "--m", "inf")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert len(lines) == 15002
+    for n in (0, 2, 14000, 14999, 15000):
+        assert lines[n + 1] == f"{n},inf,{digits(count(math.inf, n))}"
+
+
+@digit_cap
+def test_index_past_the_digit_cap_is_parsed(capsys):
+    index = 10**4999 + 12345
+    text = digits(index)
+    code, out, err = run_cli(capsys, "unrank", "--size", "60", "--all", "--index", text)
+    assert code == 3 and text in err
+    args = ("unrank", "--size", "17200", "--all", "--index", text, "--max-n", "17200")
+    code, out, err = run_cli(capsys, *args)
+    assert (code, err) == (0, "")
+    assert rank(math.inf, decode(out.strip())) == index
+
+
+@digit_cap
+def test_main_puts_back_the_callers_digit_cap(capsys):
+    cap = sys.get_int_max_str_digits()
+    argvs = [
+        ["count", "--size", "19", "--free", "0"],
+        ["count", "--size", "-1", "--free", "0"],
+        ["unrank", "--size", "40", "--all", "--index", "x"],
+    ]
+    interval = sys.getswitchinterval()
+    try:
+        sys.set_int_max_str_digits(5000)
+        for argv in argvs:
+            main(argv)
+            assert sys.get_int_max_str_digits() == 5000, argv
+        # Overlapping calls from several threads restore the cap once, when
+        # the last of them returns.
+        sys.setswitchinterval(1e-6)
+        threads = [
+            threading.Thread(target=lambda k=k: [main(argvs[k % 3]) for _ in range(50)])
+            for k in range(4)
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.setswitchinterval(interval)
+        sys.set_int_max_str_digits(cap)
+    capsys.readouterr()

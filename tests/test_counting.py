@@ -8,6 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from blc import counting
 from blc.counting import CountTable, count, count_row, verify_functional_equation
 
 # Exact counts of closed terms by size, 0..19 (OEIS A114852 prefix).
@@ -82,6 +83,17 @@ def test_unbounded_row_is_pinned():
     assert digest == "ae4870f48b3c269e19f5b99747226fb02bbe8281716b3e2cdbac391a44d9f474"
 
 
+def test_bounded_cone_is_pinned():
+    # sha256 of the bounded rows of a fresh cone(0, 450), as filled one
+    # direct convolution per entry, before the packed pass existed
+    table = CountTable()
+    bounded = [row for row in table.cone(0, 450) if row is not table._inf]
+    assert len(bounded) == 150
+    text = "\n".join(",".join(map(str, row)) for row in bounded)
+    digest = hashlib.sha256(text.encode()).hexdigest()
+    assert digest == "ad94a7d18a739a31f429ea7f3196c7e71e4a8cfc3bde50d2718c58aa11f890c4"
+
+
 @pytest.mark.parametrize("start", range(9))
 def test_uneven_ensure_steps_match_a_one_shot_fill(start):
     # Starts 0..8 put the row's end before, inside and past the six seed
@@ -108,6 +120,17 @@ def test_fill_order_does_not_matter():
     for n in (36, 3, 17, 36, 24):
         for m in (0, 1, 5, math.inf):
             assert lazy.count(m, n) == eager.count(m, n)
+
+
+def test_count_row_fills_once_and_leaves_the_state_of_stepping_up():
+    # one fill at the top size takes the packed pass, and stepping n up
+    # by one the direct one; both leave the same rows
+    for m in (0, 1, math.inf):
+        at_once, stepped = CountTable(), CountTable()
+        row = at_once.count_row(m, 120)
+        assert row == [stepped.count(m, n) for n in range(121)]
+        assert (at_once._inf, at_once._rows) == (stepped._inf, stepped._rows)
+    assert count_row(0, -1) == []
 
 
 def test_shared_and_private_tables_agree():
@@ -184,6 +207,43 @@ def reference():
     return rows
 
 
+PACKED_FROM = counting._PACKED_FROM
+PACKED_MIN = counting._PACKED_MIN_COLUMNS
+# (size of the first fill, 0 for none; size of the second): every row of
+# a filled cone extended by 1..9 columns and by the crossover -1, 0, +1,
+# then fresh fills whose bound row gets crossover -1, 0, +1 columns from
+# PACKED_FROM on.
+EXTENSIONS = [
+    (150, 150 + extra)
+    for extra in (*range(1, 10), PACKED_MIN - 1, PACKED_MIN, PACKED_MIN + 1)
+] + [(0, PACKED_FROM + PACKED_MIN - 1 + d) for d in (-1, 0, 1)]
+
+
+@pytest.mark.parametrize("first, second", EXTENSIONS)
+def test_row_extensions_on_both_sides_of_the_crossover(reference, monkeypatch, first, second):
+    packed = []
+    direct = counting._convolution
+
+    def spy(row, base, k=2, half=0):
+        packed.append(k > 2)
+        return direct(row, base, k, half)
+
+    monkeypatch.setattr(counting, "_convolution", spy)
+    if first:
+        wide = second - first >= PACKED_MIN
+    else:
+        wide = second + 1 - PACKED_FROM >= PACKED_MIN
+    for m in CONE_BOUNDS:
+        table = CountTable()
+        if first:
+            table.count(m, first)
+        packed.clear()
+        assert table.count(m, second) == reference[m][second], m
+        assert any(packed) == (wide and m != math.inf), m
+        for j, row in enumerate(table._rows):
+            assert row == reference[j][: len(row)], (m, j)
+
+
 def test_cone_fill_matches_the_recurrence_in_any_order(reference):
     rng = random.Random(20141018)
     for _ in range(3):
@@ -235,7 +295,7 @@ def test_unbounded_count_fills_no_bounded_row():
 
 
 @pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs interval timers")
-def test_interrupted_fill_leaves_the_table_consistent():
+def test_interrupted_fill_leaves_the_table_consistent(reference):
     class Interrupted(Exception):
         pass
 
@@ -260,7 +320,10 @@ def test_interrupted_fill_leaves_the_table_consistent():
                 cut += 1
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
-            # A cut fill claims no size it did not finish.
+            # A cut fill publishes only finished entries and claims no
+            # size it did not finish.
+            for j, row in enumerate(table._rows):
+                assert row == reference[j][: len(row)], (delay, j)
             filled = table.max_n
             assert filled <= CONE_TOP
             assert table.count_row(math.inf, filled) == fresh.count_row(math.inf, filled)
