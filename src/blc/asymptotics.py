@@ -258,13 +258,13 @@ def real_roots(p: IntPolynomial, lo, hi, tolerance: float = 1e-12) -> list[float
     return [num / d for num, d in roots]
 
 
-def sigma(m: int, tolerance: float = 1e-12) -> float:
-    """Smallest root in (0, 1] of ``bound_discriminant(m)``.
+def sigma(m: int) -> float:
+    """Smallest root in (0, 1] of ``bound_discriminant(m)``, to 1e-12.
 
     sigma(0) == 1 exactly, sigma(1) == 1/sqrt(3), and the sequence
     decreases strictly toward rho as m grows.
     """
-    roots = real_roots(bound_discriminant(m), 0, 1, tolerance)
+    roots = real_roots(bound_discriminant(m), 0, 1)
     if not roots:
         raise ArithmeticError(f"no root in (0, 1] at bound {m}")
     return roots[0]
@@ -296,7 +296,7 @@ class AsymptoticReport(Record):
     at rho, c_tilde the coefficient it induces, and c = c_tilde divided
     by Gamma(-1/2) the constant with count(inf, n) ~ c * growth^n *
     n^(-3/2).  real_roots lists every real root of SINGULARITY_POLY on
-    [-4, 2]; note records a known numerical discrepancy.
+    [-4, 2], to 1e-12; note records a known numerical discrepancy.
     """
 
     __slots__ = __match_args__ = (
@@ -314,13 +314,13 @@ _C_TILDE_NOTE = (
 )
 
 
-def constants(tolerance: float = 1e-12) -> AsymptoticReport:
+def constants() -> AsymptoticReport:
     """Compute the growth constants from scratch.
 
-    The singularity is isolated by exact bisection as rho = r / d, the
-    chain is then evaluated exactly in integers over powers of d, square
-    roots rounded down to multiples of 2**-200, and each value rounded to
-    float once:
+    The singularity is isolated by exact bisection as rho = r / d within
+    2**-140, the chain is then evaluated exactly in integers over powers
+    of d, square roots rounded down to multiples of 2**-200, and each
+    value rounded to float once:
 
         q_at_rho = -SINGULARITY_POLY'(rho) / (1 - rho)
         c_tilde  = -sqrt(rho * q_at_rho / (1 - rho)) / (2 rho^2)
@@ -331,7 +331,7 @@ def constants(tolerance: float = 1e-12) -> AsymptoticReport:
     sextic carries at z = 1, and the same value is DISCRIMINANT_LIMIT's
     derivative at rho.
     """
-    roots = real_roots(SINGULARITY_POLY, -4, 2, tolerance)
+    roots = real_roots(SINGULARITY_POLY, -4, 2)
     r, d = _rho_exact()
     # SINGULARITY_POLY'(rho) * d**5, and 1 - rho = (d - r) / d
     slope = _horner(SINGULARITY_POLY.derivative().coeffs, r, d)

@@ -251,9 +251,7 @@ def _cmd_count_typable(args) -> int:
 
 
 def _cmd_asymptotics(args) -> int:
-    if not 0 < args.tolerance <= 1e-6:
-        raise UsageError(f"--tolerance must be in (0, 1e-6], got {args.tolerance}")
-    r = constants(args.tolerance)
+    r = constants()
     print(json.dumps({name: getattr(r, name) for name in r.__match_args__}))
     return 0
 
@@ -346,12 +344,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=_cmd_count_typable)
 
     sp = sub.add_parser("asymptotics", help="growth-constant report as JSON")
-    sp.add_argument(
-        "--tolerance",
-        type=float,
-        default=1e-12,
-        help="root isolation tolerance (default 1e-12)",
-    )
     sp.set_defaults(func=_cmd_asymptotics)
 
     sp = sub.add_parser("convergence", help="CSV of count(m,n) * rho^n * n^1.5")
@@ -419,7 +411,9 @@ def main(argv: list[str] | None = None) -> int:
             return code
         except BrokenPipeError:
             # the reader has gone: discard the rest, so the flush at exit cannot fail too
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
             return 1
         except UsageError as exc:
             print(f"error: {exc}", file=sys.stderr)

@@ -233,9 +233,7 @@ class CountTable:
     def count_row(self, m: int | float, max_n: int) -> list[int]:
         """Counts for sizes 0..max_n at bound ``m``, from one fill at max_n
         rather than one column per size."""
-        if max_n >= 0:
-            self.count(m, max_n)
-        return [self.count(m, n) for n in range(max_n + 1)]
+        return self.cone(m, max_n)[0][: max_n + 1] if max_n >= 0 else []
 
 
 _shared = CountTable()
@@ -268,9 +266,7 @@ def verify_functional_equation(max_n: int, *, table: CountTable | None = None) -
     """
     if max_n < 2:
         raise ValueError(f"need max_n >= 2, got {max_n}")
-    tbl = table or _shared
-    tbl.ensure(max_n)
-    g = [tbl.count(math.inf, n) for n in range(max_n + 1)]
+    g = (table or _shared).count_row(math.inf, max_n)
     for n in range(max_n + 1):
         if n >= 2:
             square = sum(g[k] * g[n - 2 - k] for k in range(n - 1))

@@ -56,6 +56,14 @@ def _bound_label(m: int | float) -> str:
     return "unbounded" if m == math.inf else f"free indices <= {m}"
 
 
+def _number_text(x: int) -> str:
+    """x in decimal, or by its sign and bit length past 14,000 bits
+    (about 4,200 digits, under Python's 4,300-digit int/str cap)."""
+    if not isinstance(x, int) or x.bit_length() <= 14000:
+        return str(x)
+    return f"<a {'negative ' if x < 0 else ''}{x.bit_length()}-bit number>"
+
+
 # Work-stack markers: rebuild an abstraction or an application from
 # the finished subterms on the output stack.
 _MK_ABS, _MK_APP = ("abs",), ("app",)
@@ -161,7 +169,10 @@ def unrank(m: int | float, n: int, k: int, *, table: counting.CountTable | None 
     """
     cone, total = _cone(m, n, table)
     if not 1 <= k <= total:
-        raise OutOfRange(f"rank {k} outside 1..{total} for size {n} ({_bound_label(m)})")
+        raise OutOfRange(
+            f"rank {_number_text(k)} outside 1..{_number_text(total)}"
+            f" for size {n} ({_bound_label(m)})"
+        )
     return _unrank(cone, m, n, k, False)
 
 
@@ -239,7 +250,6 @@ class Sampler:
     generator = "mt19937"
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def rank_below(self, total: int) -> int:

@@ -80,6 +80,9 @@ def _walk(term: Term, free_count: int):
     """
     if free_count < 0:
         raise ValueError(f"free_count must be >= 0, got {free_count}")
+    free = max_free_index(term)
+    if free > free_count:
+        raise FreeIndexExceeded(f"free index {free} but only {free_count} context slots")
     root: list = [None]
     context = [[None] for _ in range(free_count)]
     binders: list = []  # domain of each enclosing abstraction, outermost first
@@ -101,16 +104,9 @@ def _walk(term: Term, free_count: int):
             work.append((t.fun, (a, want), depth))
         else:
             slot = t.i - depth  # <= 0 for a bound index
-            if slot <= free_count:
-                var = binders[-t.i] if slot <= 0 else context[slot - 1]
-                if unify(var, want, trail):
-                    continue
-                if max_free_index(term) <= free_count:
-                    return None
-            # a free index above the context raises, clash or no clash
-            raise FreeIndexExceeded(
-                f"free index {max_free_index(term)} but only {free_count} context slots"
-            )
+            var = binders[-t.i] if slot <= 0 else context[slot - 1]
+            if not unify(var, want, trail):
+                return None
     return root, context, annotations
 
 

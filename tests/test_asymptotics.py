@@ -355,6 +355,32 @@ class TestConstants:
         deflated = _at(DISCRIMINANT_LIMIT.derivative(), rho)
         assert abs(lhopital - deflated) < Fraction(1, 2**90)
 
+    def test_counts_confirm_c_through_the_next_term(self):
+        # count(inf, n) rho^n n^(3/2) = C (1 + c1 / n + O(1/n^2)), from the
+        # singular part -B(z) sqrt(R(z)) of G, with B(z) = 1 / (2 z^2 (1 - z))
+        # and R = SINGULARITY_POLY (Flajolet and Sedgewick, Analytic
+        # Combinatorics, 2009, Thm. VI.1): c1 = 3/8 - 3/2 (b1/b0 + r2/(2 r1)),
+        # b0 = B(rho), b1 = -rho B'(rho), r1 = -rho R'(rho), r2 = rho^2 R''(rho)/2
+        rho = Fraction(*_rho_exact())
+        slope = SINGULARITY_POLY.derivative()
+        b_ratio = 2 - rho / (1 - rho)  # B'/B = -2/z + 1/(1 - z)
+        r_ratio = -rho * _at(slope.derivative(), rho) / (4 * _at(slope, rho))
+        c1 = Fraction(3, 8) - Fraction(3, 2) * (b_ratio + r_ratio)
+        assert round(float(c1), 10) == -1.2926109401
+        # n times the gap below measured 4.590-4.593 at n = 600..20,000, so
+        # the bound 5/n pins C to about 1e-8 at n = 20,000
+        c = constants().c
+        r, d = _rho_exact()
+        two_rho = (2 * r << 256) // d  # in 256-bit fixed point
+        table = CountTable()
+        for n in (2000, 20000):
+            power = 1 << 256
+            for _ in range(n):
+                power = power * two_rho >> 256
+            scaled = table.count(math.inf, n) * power * n * math.isqrt(n << 512)
+            value = scaled / (1 << (n + 512))
+            assert abs(n * (value / c - 1) - c1) <= 5 / n
+
     def test_note_documents_the_radical_discrepancy(self):
         report = constants()
         assert "-0.288265354" in report.note

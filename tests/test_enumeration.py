@@ -70,6 +70,22 @@ def test_rank_out_of_range():
             unrank(0, 4, bad)
 
 
+def test_out_of_range_names_numbers_past_14000_bits_by_bit_length():
+    # their decimal text would pass Python's 4,300-digit int/str cap
+    at_60 = "outside 1..821184564281143 for size 60 (unbounded)"
+    cases = [
+        ((math.inf, 60, 10**5000), f"rank <a 16610-bit number> {at_60}"),
+        ((math.inf, 60, -(10**5000)), f"rank <a negative 16610-bit number> {at_60}"),
+        ((math.inf, 60, 2**14000), f"rank <a 14001-bit number> {at_60}"),
+        ((math.inf, 60, 2**14000 - 1), f"rank {2**14000 - 1} {at_60}"),
+        ((math.inf, 17200, 0), "rank 0 outside 1..<a 16722-bit number> for size 17200 (unbounded)"),
+    ]
+    for args, want in cases:
+        with pytest.raises(OutOfRange) as info:
+            unrank(*args)
+        assert str(info.value) == want
+
+
 def test_sweep_is_a_bijection(codes_by_size):
     table = CountTable(16)
     for m in SWEEP_BOUNDS:

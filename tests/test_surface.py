@@ -1,0 +1,74 @@
+"""The settable surface: the options of every ``blc`` subcommand and the
+parameters of every public function the package exports.  Adding or
+dropping a knob is a visible edit to one of the two tables below."""
+
+import argparse
+import inspect
+
+import blc
+from blc import cli
+
+CLI_OPTIONS = {
+    "": ("-h", "--help", "--version"),
+    "count": ("-h", "--help", "--size", "--free", "--all", "--max-n", "--format"),
+    "table": ("-h", "--help", "--max-n", "--m"),
+    "unrank": (
+        "-h", "--help", "--size", "--free", "--all", "--index", "--term-format", "--max-n",
+        "--format",
+    ),
+    "rank": ("-h", "--help", "--term", "--text", "--free", "--all", "--max-n", "--format"),
+    "sample": (
+        "-h", "--help", "--size", "--free", "--all", "--count", "--seed", "--typable",
+        "--max-attempts", "--term-format", "--max-n", "--format",
+    ),
+    "typecheck": ("-h", "--help", "--term", "--text", "--format"),
+    "count-typable": ("-h", "--help", "--size", "--closed", "--all", "--max-n", "--format"),
+    "asymptotics": ("-h", "--help"),
+    "convergence": ("-h", "--help", "--max-n", "--m"),
+}
+
+PARAMETERS = {
+    "bound_discriminant": ("m",),
+    "constants": (),
+    "convergence_series": ("m_values", "max_n", "table"),
+    "count": ("m", "n", "table"),
+    "count_row": ("m", "max_n", "table"),
+    "count_typable": ("n", "closed", "jobs", "table"),
+    "decode": ("bits",),
+    "encode": ("term",),
+    "format_type": ("ty",),
+    "infer": ("term", "free_count"),
+    "infer_annotated": ("term", "free_count"),
+    "is_typable": ("term", "free_count"),
+    "max_free_index": ("term",),
+    "parse_text": ("text",),
+    "rank": ("m", "term", "table"),
+    "real_roots": ("p", "lo", "hi", "tolerance"),
+    "render": ("term",),
+    "sample": ("m", "n", "state", "table"),
+    "sample_typable": ("m", "n", "state", "max_attempts", "table"),
+    "sigma": ("m",),
+    "size": ("term",),
+    "unrank": ("m", "n", "k", "table"),
+    "verify_functional_equation": ("max_n", "table"),
+}
+
+
+def _options(parser):
+    return tuple(s for action in parser._actions for s in action.option_strings)
+
+
+def test_cli_options_are_pinned():
+    parser = cli.build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {"": _options(parser), **{name: _options(sp) for name, sp in sub.choices.items()}}
+    assert got == CLI_OPTIONS
+
+
+def test_public_function_parameters_are_pinned():
+    got = {
+        name: tuple(inspect.signature(obj).parameters)
+        for name, obj in vars(blc).items()
+        if not name.startswith("_") and inspect.isfunction(obj)
+    }
+    assert got == PARAMETERS
