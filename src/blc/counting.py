@@ -28,8 +28,8 @@ unbounded one: a cone of about n^3 / 27 products for m = 0, against the
 n^3 / 6 of filling every bounded row through n.  The table fills only
 that cone, and ``CountTable.cone`` hands its rows to the walks that read
 it: ``unrank``, ``rank`` and the closed census.  A long fill packs four
-row entries per integer, which count <= 2^size keeps apart, and so
-makes a quarter of the Python-level products (``_extend_row``).
+row entries per integer, which count <= 2^size keeps apart, and so makes
+a quarter of the products, plus a fixed few per column (``_packed_pass``).
 """
 
 from __future__ import annotations
@@ -39,58 +39,73 @@ import threading
 from operator import mul
 
 
-def _convolution(row: list[int], base: int, k: int = 2, half: int = 0) -> int:
-    """sum_{i=2}^{base-2} row[i] * row[base - i], by its i <-> base - i
-    symmetry, given ``half``, the sum of the pairs with i < k."""
-    half += sum(map(mul, row[k : (base + 1) // 2], row[base - k : base // 2 : -1]))
-    mid = base // 2
-    return 2 * half + (row[mid] * row[mid] if base % 2 == 0 else 0)
-
-
-# Where ``_extend_row``'s packed pass starts to pay (measured; see there).
-_PACKED_FROM = 64
+# First size and fewest columns of ``_extend_row``'s packed pass (measured).
+_PACKED_FROM = 8
 _PACKED_MIN_COLUMNS = 16
 
 
 def _extend_row(row: list[int], above: list[int], last: int) -> None:
-    """Append row[c] = above[c - 2] + _convolution(row, c - 2) for
-    c = len(row)..last; ``above`` is the abstraction body's row.
+    """Append row[c] = above[c - 2] + sum_{i=2}^{c-4} row[i] * row[c - 2 - i],
+    halved by symmetry, for c = len(row)..last; ``above`` is the body's row.
 
     No term has size 0 or 1, so column c reads row entries below c - 3,
-    and columns c..c + 3 can share one pass.  With ``packs[i]`` holding
-    row[i..i + 3] in slots of w = last + 2 bits, b = c - 2 and
-    k = (b + 1) // 2, slot t of sum_{i=2}^{k-1} row[i] * packs[b - i]
-    is the part i < k of column c + t's half-convolution, and
-    ``_convolution`` adds the at most two pairs left.  A read slot is
-    exact: distinct codes of size s are distinct s-bit strings, so
-    row[s] <= 2^s, and a slot is at most the entry it builds, below
-    2^last < 2^w; only slots past ``last`` can carry, into slots that
-    are never read either.  The packs cost O(len(row)) to build, so the
-    pass starts at size 64 and needs 16 or more columns: on 2-core x86_64
-    it took 1.8, 1.2, 0.85 and 0.65 times the direct time to add 4, 8, 16
-    and 32 columns to rows of 120-300 entries, and lost on shorter rows.
+    and columns c..c + 3 can share one product (``_packed_pass``).  Its
+    packs cost O(len(row)), so it needs 16 or more columns: on 2-core
+    x86_64 it took 1.6-1.7, 1.0-1.1, 0.70-0.83 and 0.54-0.63 times the
+    direct time to add 4, 8, 16 and 32 columns to rows of 120-300 entries,
+    and 0.93-1.05 times to add 16 to rows of 8-64.  It starts at size 8:
+    fresh fills at n = 60-140 took 0.76-0.94 times as long as from size 64,
+    and at most 0.03 ms longer below n = 60.
     """
     split = max(len(row), _PACKED_FROM)
     if last + 1 - split < _PACKED_MIN_COLUMNS:
         split = last + 1
     for col in range(len(row), split):
-        row.append(above[col - 2] + _convolution(row, col - 2))
-    if split > last:
-        return
-    w = last + 2
+        b = col - 2
+        half = sum(map(mul, row[2 : (b + 1) // 2], row[b - 2 : b // 2 : -1]))
+        row.append(above[b] + 2 * half + (row[b // 2] ** 2 if b % 2 == 0 else 0))
+    if split <= last:
+        _packed_pass(row, above, split, last)
+
+
+def _packed_pass(row: list[int], above: list[int], first: int, last: int) -> None:
+    """``_extend_row`` for columns first..last, four per big-integer product.
+
+    For columns c..c + 3, with ``packs[i]`` holding row[i..i + 3] in slots
+    of w = last + 2 bits, b = c - 2 and h = (b + 1) // 2, slot t of
+    sum_{i=2}^{h-1} row[i] * packs[b - i] is the part i < h of column
+    c + t's half sum.  The rest of it doubled, plus the middle square, is
+    r0^2, 2 r0 r1, 2 r0 r2 + r1^2 and 2 (r0 r3 + r1 r2) for t = 0..3 if b
+    is even, and 0 then the first three if b is odd, with r = row[h..h + 3]
+    (filled: h + 3 < c).  A read slot is exact: distinct codes of size s
+    are distinct s-bit strings, so row[s] <= 2^s, and a slot is at most the
+    entry it builds, below 2^last < 2^w; only slots past ``last`` can
+    carry, into slots that are never read either.
+    """
+    w, w2, w3 = last + 2, 2 * last + 4, 3 * last + 6
     mask = (1 << w) - 1
     packs = [
-        row[i] | row[i + 1] << w | row[i + 2] << 2 * w | row[i + 3] << 3 * w
-        for i in range(split - 3)
+        row[i] | row[i + 1] << w | row[i + 2] << w2 | row[i + 3] << w3
+        for i in range(first - 3)
     ]
-    for first in range(split, last + 1, 4):
-        b = first - 2
-        k = (b + 1) // 2
-        acc = sum(map(mul, row[2:k], packs[b - 2 : b - k : -1]))
-        for col in range(first, min(first + 4, last + 1)):
-            row.append(above[col - 2] + _convolution(row, col - 2, k, acc & mask))
-            acc >>= w
-            packs.append(packs[-1] >> w | row[col] << 3 * w)
+    # A last group cut short reads zeros past above[last - 2].
+    above = above[: last - 1] + [0, 0, 0]
+    for c in range(first, last + 1, 4):
+        b = c - 2
+        h = (b + 1) // 2
+        acc = sum(map(mul, row[2:h], packs[b - 2 : b - h : -1]))
+        r0, r1, r2, r3 = row[h : h + 4]
+        e = r0 * r0, 2 * r0 * r1, 2 * r0 * r2 + r1 * r1
+        e0, e1, e2, e3 = (0, *e) if b % 2 else (*e, 2 * (r0 * r3 + r1 * r2))
+        v0 = above[b] + 2 * (acc & mask) + e0
+        v1 = above[b + 1] + 2 * (acc >> w & mask) + e1
+        v2 = above[b + 2] + 2 * (acc >> w2 & mask) + e2
+        v3 = above[b + 3] + 2 * (acc >> w3) + e3
+        row += (v0, v1, v2, v3)[: last + 1 - c]
+        p0 = packs[-1] >> w | v0 << w3
+        p1 = p0 >> w | v1 << w3
+        p2 = p1 >> w | v2 << w3
+        packs += (p0, p1, p2, p2 >> w | v3 << w3)
 
 
 def _saturation_depth(m: int | float, n: int) -> int:
@@ -114,8 +129,8 @@ class CountTable:
     ``count(m, n)`` fills the bounded rows it reads, which for
     m < n - 1 is the cone of rows m, m + 1, ... through sizes n,
     n - 2, ..., about n^3 / 27 products at m = 0.  Fills of 16 or more
-    columns from size 64 on take four columns per big-integer product,
-    in slots that count(m, s) <= 2^s keeps apart (``_extend_row``).
+    columns from size 8 on take four columns per big-integer product, in
+    slots that count(m, s) <= 2^s keeps apart (``_packed_pass``).
 
     A fill holds the table's lock, builds the unbounded row in a local
     list and publishes it with one assignment, and appends a bounded

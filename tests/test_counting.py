@@ -211,7 +211,7 @@ PACKED_FROM = counting._PACKED_FROM
 PACKED_MIN = counting._PACKED_MIN_COLUMNS
 # (size of the first fill, 0 for none; size of the second): every row of
 # a filled cone extended by 1..9 columns and by the crossover -1, 0, +1,
-# then fresh fills whose bound row gets crossover -1, 0, +1 columns from
+# then fresh fills whose closed row gets crossover -1, 0, +1 columns from
 # PACKED_FROM on.
 EXTENSIONS = [
     (150, 150 + extra)
@@ -219,29 +219,65 @@ EXTENSIONS = [
 ] + [(0, PACKED_FROM + PACKED_MIN - 1 + d) for d in (-1, 0, 1)]
 
 
+def spy_on_packed_pass(monkeypatch):
+    """Record (parity of the first group's base, columns in the last
+    group) for every packed pass that ``_extend_row`` runs."""
+    groups = []
+    packed_pass = counting._packed_pass
+
+    def spy(row, above, first, last):
+        groups.append(((first - 2) % 2, (last - first) % 4 + 1))
+        packed_pass(row, above, first, last)
+
+    monkeypatch.setattr(counting, "_packed_pass", spy)
+    return groups
+
+
 @pytest.mark.parametrize("first, second", EXTENSIONS)
 def test_row_extensions_on_both_sides_of_the_crossover(reference, monkeypatch, first, second):
-    packed = []
-    direct = counting._convolution
-
-    def spy(row, base, k=2, half=0):
-        packed.append(k > 2)
-        return direct(row, base, k, half)
-
-    monkeypatch.setattr(counting, "_convolution", spy)
-    if first:
-        wide = second - first >= PACKED_MIN
-    else:
-        wide = second + 1 - PACKED_FROM >= PACKED_MIN
+    packed = spy_on_packed_pass(monkeypatch)
     for m in CONE_BOUNDS:
+        if first:
+            wide = second - first >= PACKED_MIN
+        else:
+            # a fresh row m starts as the unbounded row through size m + 1
+            wide = second + 1 - max(PACKED_FROM, m + 2) >= PACKED_MIN
         table = CountTable()
         if first:
             table.count(m, first)
         packed.clear()
         assert table.count(m, second) == reference[m][second], m
-        assert any(packed) == (wide and m != math.inf), m
+        assert bool(packed) == (wide and m != math.inf), m
         for j, row in enumerate(table._rows):
             assert row == reference[j][: len(row)], (m, j)
+
+
+# (size of the first fill, 0 for none; size of the second; parity of the
+# base b = c - 2 of the closed row's first packed group; columns in its
+# last group).  A fresh closed row packs from PACKED_FROM, an even base;
+# the rows of a cone filled at 150 have odd lengths, so its extensions
+# start at an odd base.
+PACKED_GROUPS = [(0, 80 + d, 0, d + 1) for d in range(4)] + [
+    (150, 166 + d, 1, tail) for d, tail in enumerate((4, 1, 2, 3))
+]
+
+
+@pytest.mark.parametrize("first, second, parity, tail", PACKED_GROUPS)
+def test_packed_groups_of_either_parity_and_any_length(
+    reference, monkeypatch, first, second, parity, tail
+):
+    groups = spy_on_packed_pass(monkeypatch)
+    for m in CONE_BOUNDS:
+        table = CountTable()
+        if first:
+            table.count(m, first)
+        groups.clear()
+        assert table.count(m, second) == reference[m][second], m
+        for j, row in enumerate(table._rows):
+            assert row == reference[j][: len(row)], (m, j)
+        # the cone fills its bound row last
+        if m == 0:
+            assert groups[-1] == (parity, tail)
 
 
 def test_cone_fill_matches_the_recurrence_in_any_order(reference):
