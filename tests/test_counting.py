@@ -212,11 +212,16 @@ PACKED_MIN = counting._PACKED_MIN_COLUMNS
 # (size of the first fill, 0 for none; size of the second): every row of
 # a filled cone extended by 1..9 columns and by the crossover -1, 0, +1,
 # then fresh fills whose closed row gets crossover -1, 0, +1 columns from
-# PACKED_FROM on.
-EXTENSIONS = [
-    (150, 150 + extra)
-    for extra in (*range(1, 10), PACKED_MIN - 1, PACKED_MIN, PACKED_MIN + 1)
-] + [(0, PACKED_FROM + PACKED_MIN - 1 + d) for d in (-1, 0, 1)]
+# PACKED_FROM on, and fresh fills at 78..80, where every bound row packs
+# (the crossover when packing started at size 64).
+EXTENSIONS = (
+    [
+        (150, 150 + extra)
+        for extra in (*range(1, 10), PACKED_MIN - 1, PACKED_MIN, PACKED_MIN + 1)
+    ]
+    + [(0, PACKED_FROM + PACKED_MIN - 1 + d) for d in (-1, 0, 1)]
+    + [(0, n) for n in (78, 79, 80)]
+)
 
 
 def spy_on_packed_pass(monkeypatch):
