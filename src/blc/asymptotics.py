@@ -262,12 +262,11 @@ def sigma(m: int) -> float:
     """Smallest root in (0, 1] of ``bound_discriminant(m)``, to 1e-12.
 
     sigma(0) == 1 exactly, sigma(1) == 1/sqrt(3), and the sequence
-    decreases strictly toward rho as m grows.
+    decreases strictly toward rho as m grows.  z = 1 is a root for every
+    m (both 4z^4(1 - z^m) and (1 - z)^3(1 + z)^2 vanish there), so the
+    interval always holds one.
     """
-    roots = real_roots(bound_discriminant(m), 0, 1)
-    if not roots:
-        raise ArithmeticError(f"no root in (0, 1] at bound {m}")
-    return roots[0]
+    return real_roots(bound_discriminant(m), 0, 1)[0]
 
 
 # ---------------------------------------------------------------------------

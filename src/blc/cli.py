@@ -110,19 +110,12 @@ def _read_term(args):
         raise UsageError(f"bad term input: {exc}") from None
 
 
-def _metadata(extra: dict | None = None) -> dict:
-    md = {"version": __version__}
-    if extra:
-        md.update(extra)
-    return md
-
-
 def _emit(args, payload: dict, plain_lines: list[str], meta_extra: dict | None = None) -> None:
+    md = {"version": __version__, **(meta_extra or {})}
     if args.format == "json":
-        print(json.dumps({"metadata": _metadata(meta_extra), **payload}))
+        print(json.dumps({"metadata": md, **payload}))
         return
     if meta_extra:
-        md = _metadata(meta_extra)
         print(" ".join(f"{k}={v}" for k, v in md.items()), file=sys.stderr)
     for line in plain_lines:
         print(line)
@@ -212,6 +205,8 @@ def _cmd_sample(args) -> int:
     _check_guard(args.size, args)
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
+    if args.seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {args.seed}")
     if args.typable and args.max_attempts < 1:
         raise UsageError(f"--max-attempts must be >= 1, got {args.max_attempts}")
     m = _bound(args)

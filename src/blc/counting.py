@@ -38,6 +38,8 @@ import math
 import threading
 from operator import mul
 
+__all__ = ["CountTable", "count", "count_row", "verify_functional_equation"]
+
 
 # First size and fewest columns of ``_extend_row``'s packed pass (measured).
 _PACKED_FROM = 8

@@ -250,6 +250,8 @@ class Sampler:
     generator = "mt19937"
 
     def __init__(self, seed: int):
+        if seed < 0:  # random.Random seeds from abs(seed): -s would replay s
+            raise ValueError(f"seed must be >= 0, got {seed}")
         self._rng = random.Random(seed)
 
     def rank_below(self, total: int) -> int:

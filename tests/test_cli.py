@@ -74,6 +74,38 @@ def test_table_bad_bound_list(capsys):
     assert "spam" in err
 
 
+def test_table_bound_list_skips_empty_tokens(capsys):
+    expected = run_cli(capsys, "table", "--max-n", "3", "--m", "0,inf")
+    assert run_cli(capsys, "table", "--max-n", "3", "--m", "0,,inf") == expected
+    assert expected[0] == 0
+    assert expected[1].splitlines()[-1] == "3,inf,1"
+
+
+USAGE_ERRORS = [
+    (("table", "--max-n", "3", "--m", "0,-1"), "bounds must be >= 0, got -1"),
+    (("table", "--max-n", "3", "--m", ","), "no free-index bounds given"),
+    (("table", "--max-n", "-1"), "--max-n must be >= 0, got -1"),
+    (("sample", "--size", "30", "--free", "0", "--count", "0"), "--count must be >= 1, got 0"),
+    (("sample", "--size", "30", "--free", "0", "--seed", "-7"), "--seed must be >= 0, got -7"),
+]
+
+
+@pytest.mark.parametrize("argv, message", USAGE_ERRORS, ids=[" ".join(a) for a, _ in USAGE_ERRORS])
+def test_usage_errors_exit_2(capsys, argv, message):
+    assert run_cli(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("exc", [MemoryError, RecursionError])
+def test_resource_limit_exits_4(capsys, monkeypatch, exc):
+    def exhausted(m, n):
+        raise exc
+
+    monkeypatch.setattr(cli.counting, "count", exhausted)
+    assert run_cli(capsys, "count", "--size", "10", "--all") == (
+        4, "", "error: resource limit hit\n"
+    )
+
+
 def test_unrank_binary(capsys):
     code, out, _ = run_cli(capsys, "unrank", "--size", "4", "--free", "0", "--index", "1")
     assert code == 0
@@ -185,6 +217,18 @@ def test_sample_rejects_non_positive_max_attempts(capsys):
         assert code == 2
         assert out == ""
         assert f"--max-attempts must be >= 1, got {bad}" in err
+
+
+def test_rank_guard_refuses_a_huge_index_cheaply(capsys):
+    # size() adds up the code's length without building it
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "rank", "--text", "1000000000", "--all")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: size 1000000001 is above the --max-n guard (2000); "
+        "raise it explicitly if you mean it\n"
+    )
 
 
 def test_sample_empty_class(capsys):

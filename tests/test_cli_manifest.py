@@ -251,6 +251,12 @@ MANIFEST = [
         "ff226a5b857a55e1387e01be52962015dd9ab59f1248c96262316700e70aa050",
     ),
     (
+        ["sample", "--size", "30", "--free", "0", "--seed", "-7"],
+        2,
+        EMPTY,
+        "251176c700fee56ab395ecb1d644399ed9d4ad49742eab9cb7a61128262e0a9e",
+    ),
+    (
         ["unrank", "--size", "60", "--free", "0", "--index", "38754322685330"],
         3,
         EMPTY,

@@ -57,3 +57,12 @@ def test_the_package_declares_no_runtime_dependency():
     with open(ROOT / "pyproject.toml", "rb") as f:
         project = tomllib.load(f)["project"]
     assert project["dependencies"] == []
+
+
+def test_the_version_is_read_from_the_package():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        config = tomllib.load(f)
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    assert config["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "blc.__version__"}

@@ -159,6 +159,12 @@ def test_sampler_streams_split_by_xor():
     assert draws[0] != draws[1] and draws[1] != draws[2]
 
 
+def test_sampler_rejects_a_negative_seed():
+    # random.Random seeds from abs(seed), so -7 would replay seed 7's stream
+    with pytest.raises(ValueError, match=r"^seed must be >= 0, got -7$"):
+        Sampler(-7)
+
+
 def test_rank_below_covers_range_uniformly():
     s = Sampler(5)
     seen = [s.rank_below(7) for _ in range(2000)]

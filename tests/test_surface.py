@@ -1,12 +1,37 @@
-"""The settable surface: the options of every ``blc`` subcommand and the
-parameters of every public function the package exports.  Adding or
-dropping a knob is a visible edit to one of the two tables below."""
+"""The public surface: the names ``blc`` exports, the options of every
+``blc`` subcommand and the parameters of every public function the
+package exports.  Adding or dropping a name or a knob is a visible edit
+to one of the tables below."""
 
 import argparse
 import inspect
+import types
 
 import blc
-from blc import cli
+from blc import asymptotics, cli, counting, enumeration, terms, typecheck
+
+# ``blc`` republishes each module's ``__all__`` and nothing else.
+EXPORTS = {
+    terms: (
+        "Index", "Abs", "App", "Term", "DecodeError", "Truncated", "TrailingBits",
+        "ParseError", "FreeIndexExceeded", "size", "encode", "decode", "max_free_index",
+        "render", "parse_text",
+    ),
+    counting: ("CountTable", "count", "count_row", "verify_functional_equation"),
+    enumeration: (
+        "NoTerms", "OutOfRange", "AttemptsExhausted", "unrank", "rank", "Sampler", "sample",
+        "sample_typable",
+    ),
+    typecheck: (
+        "TVar", "Arrow", "SimpleType", "Typing", "is_typable", "infer", "infer_annotated",
+        "format_type", "count_typable",
+    ),
+    asymptotics: (
+        "IntPolynomial", "SINGULARITY_POLY", "DISCRIMINANT_LIMIT", "bound_discriminant",
+        "real_roots", "sigma", "AsymptoticReport", "constants", "ConvergencePoint",
+        "convergence_series",
+    ),
+}
 
 CLI_OPTIONS = {
     "": ("-h", "--help", "--version"),
@@ -52,6 +77,19 @@ PARAMETERS = {
     "unrank": ("m", "n", "k", "table"),
     "verify_functional_equation": ("max_n", "table"),
 }
+
+
+def test_exported_names_are_each_modules_all():
+    got = {
+        name
+        for name, obj in vars(blc).items()
+        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+    }
+    assert got == {name for names in EXPORTS.values() for name in names}
+    for module, names in EXPORTS.items():
+        assert sorted(module.__all__) == sorted(names)
+        for name in names:
+            assert getattr(blc, name) is getattr(module, name)
 
 
 def _options(parser):

@@ -49,6 +49,7 @@ def test_size_splits_by_node_kind():
     assert size(Index(9)) == 10
     assert size(Abs(Index(9))) == 12
     assert size(App(Index(9), Index(1))) == 14
+    assert size(Index(10**9)) == 10**9 + 1  # added up, never built
 
 
 def test_no_terms_below_size_two():
@@ -157,6 +158,12 @@ def test_parse_error_has_position():
     with pytest.raises(ParseError) as err:
         parse_text("(1 x)")
     assert err.value.position == 3
+
+
+def test_parse_error_names_the_missing_paren():
+    with pytest.raises(ParseError, match=r"^expected '\)' \(at position 5\)$") as err:
+        parse_text("(1 1 1)")
+    assert err.value.position == 5
 
 
 def test_codec_bijection_exhaustive(codes_by_size):
