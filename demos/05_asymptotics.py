@@ -34,8 +34,9 @@ print()
 print("after removing the root at 1:", DISCRIMINANT_LIMIT.coeffs)
 print()
 
-# Bounded classes have their own singularities sigma_m, decreasing
-# toward rho; already at m = 12 the first eight digits agree.
+# The terms whose every index is at most m have their own
+# singularities sigma_m, decreasing toward rho; already at m = 12 the
+# first eight digits agree.  (Bounding only the free indices keeps rho.)
 print("m    sigma_m")
 for m in [0, 1, 2, 3, 4, 6, 8, 12]:
     print("%-3d  %.10f" % (m, sigma(m)))

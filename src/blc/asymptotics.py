@@ -5,9 +5,10 @@ equation; clearing denominators puts an explicit sextic under its
 square root.  The smallest positive root rho of that sextic is the
 dominant singularity, 1/rho the exponential growth rate of the counts,
 and the square-root expansion at rho fixes the subexponential constant
-chain reported by ``constants``.  Each finite free-index bound m has
-its own discriminant polynomial (``bound_discriminant``) whose smallest
-positive root ``sigma(m)`` decreases to rho as m grows.
+chain reported by ``constants``.  The terms whose every index, bound or
+free, is at most m have their own discriminant (``bound_discriminant``),
+whose smallest positive root ``sigma(m)`` decreases to rho as m grows;
+bounding only the free indices, as ``count(m, n)`` does, keeps rho.
 
 Root isolation is exact and in integers only: a Sturm chain of primitive
 integer polynomials, halving until each cell holds one root, then sign
@@ -68,9 +69,10 @@ DISCRIMINANT_LIMIT = IntPolynomial((-1, 1, 2, -2, 3, 1))
 
 
 def bound_discriminant(m: int) -> IntPolynomial:
-    """Discriminant numerator for the counts at free-index bound m:
-    4 z^4 (1 - z^m) - (1 - z)^3 (1 + z)^2, which is DISCRIMINANT_LIMIT
-    less 4 z^(m+4)."""
+    """(z - 1) times the discriminant of G = z^2 (1 - z^m) / (1 - z) +
+    z^2 G + z^2 G^2, which counts the terms whose every index, bound or
+    free, is at most m: 4 z^4 (1 - z^m) - (1 - z)^3 (1 + z)^2, which is
+    DISCRIMINANT_LIMIT less 4 z^(m+4)."""
     if m < 0:
         raise ValueError(f"bound must be >= 0, got {m}")
     cs = list(DISCRIMINANT_LIMIT.coeffs) + [0] * m

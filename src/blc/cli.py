@@ -21,7 +21,6 @@ range / free index above bound, 4 resource limit.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -388,10 +387,7 @@ class _NoDigitLimit:
                 sys.set_int_max_str_digits(self._saved)
 
 
-# Pythons before 3.10.7 have no cap to lift.
-_no_digit_limit = (
-    _NoDigitLimit() if hasattr(sys, "set_int_max_str_digits") else contextlib.nullcontext()
-)
+_no_digit_limit = _NoDigitLimit()
 
 
 def main(argv: list[str] | None = None) -> int:

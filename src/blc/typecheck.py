@@ -21,7 +21,9 @@ The same rules, on the same unifier, drive ``count_typable``, which
 types each term of a size class while one depth-first walk builds it
 and undoes its bindings from a trail when it backtracks, and the typed
 unrank of ``enumeration.sample_typable``, which types each draw while
-it builds it and drops the draw at its first clash.
+it builds it and drops the draw at its first clash.  The census walk
+places index 1 and 2 leaves when their parent opens, out of preorder:
+a most general unifier does not depend on the order of the equations.
 """
 
 from __future__ import annotations
@@ -299,25 +301,33 @@ def unify(x, y, trail: list) -> bool:
 def _typed_walk(n: int, live: list[list[int]] | None) -> int:
     """Number of typable terms of size ``n``, by one depth-first walk.
 
-    The walk builds terms in preorder from a stack of holes, each a
-    (size, expected type, binder types) triple, and types every node by
-    the rules of inference as it places it; an application tries each
-    split of the size between its function and argument holes.  Only
-    indices can fail, and a failure cuts off every completion of the
-    prefix at once.
+    The walk builds terms from a stack of holes, each a (size, expected
+    type, binder types) triple, and types every node by the rules of
+    inference as it places it; an application tries each split of the
+    size between its function and argument.  Only indices can fail, and
+    a failure cuts off every completion of the prefix at once.
+
+    A hole of size 2 or 3 has one filler, index 1 or 2, so it is never
+    pushed: its parent places it when it opens it.  A leaf argument's
+    binder cell is the function's domain as it is, a leaf function
+    unifies its binder with ``domain -> expected`` and a leaf body its
+    binder with the codomain, all before the other child is built.  So
+    the walk is not strictly preorder, but it is exact: it still reaches
+    each term once with all of its constraints, and whether a set of
+    equations has a unifier does not depend on the order in which they
+    are unified.
 
     ``live`` is None for the all-terms column, where a free index takes
-    its context slot's type: a fresh variable created at the slot's
-    first use and dropped when the walk backs out of it.  For the closed
-    column ``live`` is ``CountTable.cone(0, n)``: ``live[d][s]`` counts
-    the terms of size s with free indices in 1..d, and holes of empty
-    classes are never opened.
+    its context slot's type, one fresh cell per slot shared by all its
+    uses.  For the closed column ``live`` is ``CountTable.cone(0, n)``:
+    ``live[d][s]`` counts the terms of size s with free indices in
+    1..d, and holes of empty classes are never opened.
 
     Types are the cells of ``unify``; every binding goes on a trail, so
     backtracking can unbind it.
     """
     trail: list[list] = []
-    context: dict[int, object] = {}
+    context = [[None] for _ in range(n)]  # free index i at depth d: context[i - d - 1]
     holes: list[tuple] = [(n, [None], ())]
 
     def undo(mark: int) -> None:
@@ -325,44 +335,46 @@ def _typed_walk(n: int, live: list[list[int]] | None) -> int:
             trail.pop()[0] = None
 
     def walk() -> int:
-        if not holes:
-            return 1
         hole = holes.pop()
         size, want, binders = hole
         depth = len(binders)
         mark = len(trail)
         found = 0
         i = size - 1  # the one index of this size
-        if i <= depth:
-            if unify(binders[-i], want, trail):
-                found += walk()
+        if i <= depth or live is None:
+            if unify(binders[-i] if i <= depth else context[i - depth - 1], want, trail):
+                found += walk() if holes else 1
             undo(mark)
-        elif live is None:  # a free index: unify with its context slot
-            slot = i - depth
-            if slot in context:
-                if unify(context[slot], want, trail):
-                    found += walk()
-                undo(mark)
-            else:  # first use: the slot's fresh variable takes want
-                context[slot] = want
-                found += walk()
-                del context[slot]
         body = size - 2
         if body >= 2 and (live is None or live[depth + 1][body]):
             dom, cod = split_arrow(want, trail)
-            holes.append((body, cod, binders + (dom,)))
-            found += walk()
-            holes.pop()
+            if body > 3:
+                holes.append((body, cod, binders + (dom,)))
+                found += walk()
+                holes.pop()
+            elif unify(dom if body == 2 else binders[-1] if depth else context[0], cod, trail):
+                found += walk() if holes else 1
             undo(mark)
         for fun in range(2, size - 3):
             arg = size - 2 - fun
             if live is not None and not (live[depth][fun] and live[depth][arg]):
                 continue
-            a = [None]
-            holes.append((arg, a, binders))
-            holes.append((fun, (a, want), binders))
-            found += walk()
-            del holes[-2:]
+            if arg > 3:
+                a = [None]
+                holes.append((arg, a, binders))
+            else:  # index 1 or 2: its binder's cell, or its free slot's
+                a = binders[1 - arg] if arg <= depth + 1 else context[arg - depth - 2]
+            if fun > 3:
+                holes.append((fun, (a, want), binders))
+                found += walk()
+                holes.pop()
+            else:
+                f = binders[1 - fun] if fun <= depth + 1 else context[fun - depth - 2]
+                if unify(f, (a, want), trail):
+                    found += walk() if holes else 1
+                undo(mark)
+            if arg > 3:
+                holes.pop()
         holes.append(hole)
         return found
 
@@ -382,11 +394,13 @@ def count_typable(
     all terms, where an open term counts as typable when some context
     for its free indices types it.  The census is one depth-first walk
     over the size class that types each term while it builds it, so an
-    untypable prefix is cut off once for all its completions; it is
-    exact, and its cost grows about 1.8 times per size.  The closed
-    column reads ``table`` (default: the shared one) to skip empty
-    subterm classes.  ``jobs`` is accepted but advisory: the walk runs
-    in the calling thread.
+    untypable prefix is cut off once for all its completions.  It types
+    an index 1 or 2 leaf as soon as its parent is placed, out of
+    preorder, and is still exact: whether the equations have a unifier
+    does not depend on the order they are solved in.  Its cost grows
+    about 1.8 times per size.  The closed column reads ``table``
+    (default: the shared one) to skip empty subterm classes.  ``jobs``
+    is accepted but advisory: the walk runs in the calling thread.
     """
     if n < 2:
         return 0

@@ -330,6 +330,26 @@ def test_sigma_decreases_to_rho():
     assert values[-1] - RHO < 1e-3
 
 
+def _index_bounded_counts(m: int, n: int) -> list[int]:
+    """Counts by size 0..n of the terms whose every index, bound or free,
+    is at most m, by direct convolution: an index 1..m (sizes 2..m + 1),
+    an abstraction or an application, each node adding 2."""
+    g = [0] * (n + 1)
+    for s in range(2, n + 1):
+        g[s] = (s <= m + 1) + g[s - 2] + sum(g[k] * g[s - 2 - k] for k in range(2, s - 3))
+    return g
+
+
+@pytest.mark.parametrize("m", range(1, 7))
+def test_sigma_is_the_singularity_of_the_index_bounded_class(m):
+    # g(n) ~ C sigma^-n n^-3/2, so this two-step ratio tends to
+    # 1/sigma(m); two steps because at m = 1 only even sizes occur
+    n = 600
+    g = _index_bounded_counts(m, n)
+    growth = (g[n] / g[n - 2] * (n / (n - 2)) ** 1.5) ** 0.5
+    assert abs(growth * sigma(m) - 1) < 1e-4
+
+
 class TestConstants:
     def test_chain_values(self):
         report = constants()

@@ -498,11 +498,8 @@ def test_import_leaves_cli_and_argparse_unloaded():
     assert proc.stdout == "[]\n"
 
 
-# Python caps int <-> decimal text at 4,300 digits by default (not before
-# 3.10.7); the unbounded counts pass the cap near size 14,700.
-digit_cap = pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit cap"
-)
+# Python caps int <-> decimal text at 4,300 digits by default; the
+# unbounded counts pass the cap near size 14,700.
 
 
 def digits(value):
@@ -510,7 +507,6 @@ def digits(value):
     return str(decimal.Decimal(value))
 
 
-@digit_cap
 def test_counts_and_ranks_past_the_digit_cap(capsys):
     cap = sys.get_int_max_str_digits()
     value = count(math.inf, 15000)
@@ -526,7 +522,6 @@ def test_counts_and_ranks_past_the_digit_cap(capsys):
     assert sys.get_int_max_str_digits() == cap
 
 
-@digit_cap
 def test_table_prints_counts_past_the_digit_cap(capsys):
     code, out, err = run_cli(capsys, "table", "--max-n", "15000", "--m", "inf")
     assert (code, err) == (0, "")
@@ -536,7 +531,6 @@ def test_table_prints_counts_past_the_digit_cap(capsys):
         assert lines[n + 1] == f"{n},inf,{digits(count(math.inf, n))}"
 
 
-@digit_cap
 def test_index_past_the_digit_cap_is_parsed(capsys):
     index = 10**4999 + 12345
     text = digits(index)
@@ -552,7 +546,6 @@ def test_index_past_the_digit_cap_is_parsed(capsys):
     assert rank(math.inf, decode(out.strip())) == index
 
 
-@digit_cap
 def test_main_puts_back_the_callers_digit_cap(capsys):
     cap = sys.get_int_max_str_digits()
     argvs = [

@@ -366,7 +366,7 @@ def test_census_golden_prefix():
 
 
 def test_census_against_brute_force(codes_by_size):
-    for n in range(13):
+    for n in range(15):
         closed = sum(
             1 for bits, free in codes_by_size[n] if free == 0 and is_typable(decode(bits))
         )
@@ -377,6 +377,16 @@ def test_census_against_brute_force(codes_by_size):
         )
         assert count_typable(n) == closed
         assert count_typable(n, closed=False) == anyctx
+
+
+def test_census_against_typing_each_unranked_term():
+    # The walk places index 1 and 2 leaves out of preorder; inference
+    # types each finished term in preorder, so the two orders must agree.
+    for n in range(19):
+        for m, closed in ((0, True), (math.inf, False)):
+            terms = (unrank(m, n, k) for k in range(1, count(m, n) + 1))
+            typable = sum(1 for t in terms if is_typable(t, max_free_index(t)))
+            assert count_typable(n, closed=closed) == typable, (n, m)
 
 
 def test_census_parallel_matches_serial():
