@@ -25,13 +25,13 @@ print(" ", report.note)
 print()
 
 # The sextic behind rho, and its real roots on [-4, 2].
-print("singularity polynomial coefficients (ascending):", SINGULARITY_POLY.coeffs)
+print("singularity polynomial coefficients (ascending):", SINGULARITY_POLY)
 print("real roots:", [float(r) for r in report.real_roots])
 print()
 
 # Dividing out the known root at z = 1 leaves the quartic-limit
 # discriminant whose root in (0, 1) is rho itself.
-print("after removing the root at 1:", DISCRIMINANT_LIMIT.coeffs)
+print("after removing the root at 1:", DISCRIMINANT_LIMIT)
 print()
 
 # The terms whose every index is at most m have their own

@@ -11,10 +11,10 @@ class Record:
     A subclass lists its fields, in order, as ``__slots__`` and
     ``__match_args__``.  The generic ``__init__`` takes them by position
     or keyword and raises ``TypeError`` for a missing, extra, unknown or
-    repeated one.  The classes built per node of a term or type, and
-    ``IntPolynomial``, store theirs with ``setfield`` in their own
-    ``__init__`` at a third of the cost (``Index`` checks its argument
-    there, ``IntPolynomial`` normalises).  Fields cannot be reassigned.
+    repeated one.  The classes built per node of a term or type store
+    theirs with ``setfield`` in their own ``__init__`` at a third of the
+    cost (``Index`` checks its argument there).  Fields cannot be
+    reassigned.
 
     ``==`` (same class only), ``hash``, ``repr`` and pickling share one
     walk, ``_flat``: each record's class, then its fields in preorder,

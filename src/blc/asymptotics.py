@@ -26,10 +26,9 @@ from collections.abc import Iterable
 from functools import lru_cache
 
 from . import counting
-from ._record import Record, setfield
+from ._record import Record
 
 __all__ = [
-    "IntPolynomial",
     "SINGULARITY_POLY",
     "DISCRIMINANT_LIMIT",
     "bound_discriminant",
@@ -42,46 +41,37 @@ __all__ = [
 ]
 
 
-class IntPolynomial(Record):
-    """Integer polynomial; ``coeffs[k]`` multiplies z^k, the leading
-    coefficient is nonzero, and ``()`` is the zero polynomial."""
-
-    __slots__ = __match_args__ = ("coeffs",)
-
-    def __init__(self, coeffs: Iterable[int] = ()):
-        cs = list(coeffs)
-        while cs and cs[-1] == 0:
-            cs.pop()
-        setfield(self, "coeffs", tuple(cs))
-
-    def derivative(self) -> "IntPolynomial":
-        return IntPolynomial(k * c for k, c in enumerate(self.coeffs) if k)
-
-
-# Sextic whose smallest positive root is the dominant singularity:
+# Polynomials are int tuples, p[k] multiplying z^k.  The sextic whose
+# smallest positive root is the dominant singularity:
 # z^6 + 2 z^5 - 5 z^4 + 4 z^3 - z^2 - 2 z + 1.
-SINGULARITY_POLY = IntPolynomial((1, -2, -1, 4, -5, 2, 1))
+SINGULARITY_POLY = (1, -2, -1, 4, -5, 2, 1)
 
 # Limit of bound_discriminant(m) as m grows: 4 z^4 - (1 - z)^3 (1 + z)^2.
 # Dividing SINGULARITY_POLY by (z - 1) gives the same quintic; the tests
 # check both identities by exact expansion.
-DISCRIMINANT_LIMIT = IntPolynomial((-1, 1, 2, -2, 3, 1))
+DISCRIMINANT_LIMIT = (-1, 1, 2, -2, 3, 1)
 
 
-def bound_discriminant(m: int) -> IntPolynomial:
+def bound_discriminant(m: int) -> tuple[int, ...]:
     """(z - 1) times the discriminant of G = z^2 (1 - z^m) / (1 - z) +
     z^2 G + z^2 G^2, which counts the terms whose every index, bound or
     free, is at most m: 4 z^4 (1 - z^m) - (1 - z)^3 (1 + z)^2, which is
-    DISCRIMINANT_LIMIT less 4 z^(m+4)."""
+    DISCRIMINANT_LIMIT less 4 z^(m+4).  An int tuple, low degree first."""
     if m < 0:
         raise ValueError(f"bound must be >= 0, got {m}")
-    cs = list(DISCRIMINANT_LIMIT.coeffs) + [0] * m
+    cs = list(DISCRIMINANT_LIMIT) + [0] * (m - 1)  # of degree max(5, m + 4)
     cs[m + 4] -= 4
-    return IntPolynomial(cs)
+    return tuple(cs)
 
 
 # ---------------------------------------------------------------------------
 # Exact root isolation in integer arithmetic.
+
+_TOLERANCE = 1e-12  # how far a root real_roots returns may be from the true one
+
+
+def _derivative(cs) -> list[int]:
+    return [k * c for k, c in enumerate(cs) if k]
 
 
 def _primitive(cs: list[int]) -> list[int]:
@@ -119,13 +109,13 @@ def _divide(a: list[int], g: list[int]) -> list[int]:
     return quot
 
 
-def _sturm_chain(p: IntPolynomial) -> list[list[int]]:
+def _sturm_chain(p: list[int]) -> list[list[int]]:
     """Sturm chain of the squarefree part of p.  The chain of p itself,
     each member a positive multiple of the one over the rationals, ends
     in g = gcd(p, p'); dividing every member by g leaves a chain whose
     first member p / g has the roots of p, every one simple."""
-    chain = [list(p.coeffs)]
-    deriv = _primitive(list(p.derivative().coeffs))
+    chain = [p]
+    deriv = _primitive(_derivative(p))
     if deriv:
         chain.append(deriv)
     while len(chain[-1]) > 1:
@@ -221,28 +211,28 @@ def _bisect(q: list[int], a: int, b: int, den: int, finest: int, sign_a: int) ->
     return (a + b) // 2, den
 
 
-def real_roots(p: IntPolynomial, lo, hi, tolerance: float = 1e-12) -> list[float]:
-    """All distinct real roots of p in [lo, hi], ascending, each within
-    ``tolerance`` of the true value.
+def real_roots(p: Iterable[int], lo, hi) -> list[float]:
+    """All distinct real roots in [lo, hi] of the integer polynomial p,
+    its coefficients low degree first, ascending, each within 1e-12 of
+    the true value.
 
     Cells (x, y] of [lo, hi] are halved until a Sturm count shows one
     root in each, which is then bisected on the sign of p.  A root is
     exact when a point the halving visits hits it, or when it is the
     rational with the smallest denominator in the first halving cell no
-    wider than ``tolerance`` that holds it; else it is that cell's
-    midpoint (whatever route led there).  Roots closer than that may
-    share one midpoint.
+    wider than 1e-12 that holds it; else it is that cell's midpoint
+    (whatever route led there).  Roots closer than that may share one
+    midpoint.
     """
-    if not p.coeffs:
+    cs = _primitive(list(p))  # a positive multiple: the same signs and roots
+    if not cs:
         raise ValueError("the zero polynomial vanishes everywhere")
-    if tolerance <= 0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
-    for name, x in (("lo", lo), ("hi", hi), ("tolerance", tolerance)):
+    for name, x in (("lo", lo), ("hi", hi)):
         if x != x or abs(x) == math.inf:
             raise ValueError(f"{name} must be finite, got {x}")
-    ratios = lo.as_integer_ratio(), hi.as_integer_ratio(), tolerance.as_integer_ratio()
+    ratios = lo.as_integer_ratio(), hi.as_integer_ratio(), _TOLERANCE.as_integer_ratio()
     x_lo, x_hi, den, finest = _scale(*ratios)
-    chain = _sturm_chain(p)
+    chain = _sturm_chain(cs)
     v_lo, s_lo = _variations(chain, x_lo, den)
     roots = [] if s_lo else [(x_lo, den)]
     cells = [(x_lo, x_hi, v_lo, *_variations(chain, x_hi, den))]
@@ -279,10 +269,9 @@ def sigma(m: int) -> float:
 def _rho_exact() -> tuple[int, int]:
     """The dominant singularity within 2**-140, as (numerator,
     denominator)."""
-    q = list(SINGULARITY_POLY.coeffs)
     x_lo, x_hi, den, finest = _scale((2, 5), (3, 5), (1, 2**140))
-    assert _sign(q, x_lo, den) > 0 > _sign(q, x_hi, den)
-    return _bisect(q, x_lo, x_hi, den, finest, 1)
+    assert _sign(SINGULARITY_POLY, x_lo, den) > 0 > _sign(SINGULARITY_POLY, x_hi, den)
+    return _bisect(SINGULARITY_POLY, x_lo, x_hi, den, finest, 1)
 
 
 # pi to 63 digits, within 1e-62 (about 2**-206), as (numerator, denominator)
@@ -335,7 +324,7 @@ def constants() -> AsymptoticReport:
     roots = real_roots(SINGULARITY_POLY, -4, 2)
     r, d = _rho_exact()
     # SINGULARITY_POLY'(rho) * d**5, and 1 - rho = (d - r) / d
-    slope = _horner(SINGULARITY_POLY.derivative().coeffs, r, d)
+    slope = _horner(_derivative(SINGULARITY_POLY), r, d)
     q_num, q_den = -slope, d**4 * (d - r)
     # sqrt(rho * q_at_rho / (1 - rho)) and sqrt(pi), each times 2**200
     root = math.isqrt((r * q_num << 400) // (q_den * (d - r)))

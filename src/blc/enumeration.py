@@ -22,6 +22,7 @@ failed unification.
 from __future__ import annotations
 
 import math
+import operator
 import random
 
 from . import counting
@@ -164,9 +165,11 @@ def _cone(m: int | float, n: int, table: counting.CountTable | None) -> tuple[li
 def unrank(m: int | float, n: int, k: int, *, table: counting.CountTable | None = None) -> Term:
     """The k-th term (1-based) of the size-n class at free-index bound m.
 
-    Raises ``NoTerms`` when the class is empty and ``OutOfRange`` when
-    it is not but k falls outside it.
+    Raises ``TypeError`` for a k that is not an integer, ``NoTerms``
+    when the class is empty and ``OutOfRange`` when it is not but k
+    falls outside it.
     """
+    k = operator.index(k)
     cone, total = _cone(m, n, table)
     if not 1 <= k <= total:
         raise OutOfRange(

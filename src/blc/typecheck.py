@@ -1,16 +1,15 @@
 """Simple-type inference for de Bruijn terms, plus typability censuses.
 
 Types are type variables and arrows.  One engine does all the typing:
-a cell unifier (``resolve``/``bind``/``unify``/``split_arrow``) whose
-cells are the nodes of a union-find, with an occurs check on every
-binding.  Arrows are never merged, so no cycle can form.  Inference
-walks a finished term once in preorder, giving each subterm an
-expected type: an abstraction splits its type into an arrow, an
-application gives its function ``a -> expected`` and its argument
-``a``, and an index unifies its binder's type with the expected one.
-A term is typable iff every unification succeeds, and the resulting
-type is principal: every other valid typing of the term is a
-substitution instance of it.
+a cell unifier (``resolve``/``unify``/``split_arrow``) whose cells are
+the nodes of a union-find, with an occurs check on every binding.
+Arrows are never merged, so no cycle can form.  Inference walks a
+finished term once in preorder, giving each subterm an expected type:
+an abstraction splits its type into an arrow, an application gives its
+function ``a -> expected`` and its argument ``a``, and an index unifies
+its binder's type with the expected one.  A term is typable iff every
+unification succeeds, and the resulting type is principal: every other
+valid typing of the term is a substitution instance of it.
 
 Free indices type against a context of fresh variables, one slot per
 index 1..free_count, so ``is_typable(t, max_free_index(t))`` asks
@@ -39,7 +38,6 @@ __all__ = [
     "Typing",
     "is_typable",
     "infer",
-    "infer_annotated",
     "format_type",
     "count_typable",
 ]
@@ -164,23 +162,6 @@ def infer(term: Term, free_count: int = 0) -> Typing | None:
     return Typing(ty, tuple(ctx))
 
 
-def infer_annotated(
-    term: Term, free_count: int = 0
-) -> tuple[Typing, tuple[SimpleType, ...]] | None:
-    """Like ``infer`` but also returns one type per subterm, in preorder.
-
-    The annotations let an external checker replay the typing rules
-    against each node without trusting the solver.  They share the
-    typing's variables, numbered on after the context's.
-    """
-    walked = _walk(term, free_count)
-    if walked is None:
-        return None
-    root, context, annotations = walked
-    ty, *types = _read_back([root, *context, *annotations])
-    return Typing(ty, tuple(types[:free_count])), tuple(types[free_count:])
-
-
 def _var_name(k: int) -> str:
     # a, b, ..., z, a1, b1, ...
     letter = chr(ord("a") + k % 26)
@@ -233,23 +214,6 @@ def resolve(t):
     return t
 
 
-def bind(var: list, t, trail: list) -> bool:
-    """Bind the unbound ``var`` to the resolved ``t``, unless var occurs in t."""
-    if type(t) is tuple:
-        todo = list(t)
-        while todo:
-            u = todo.pop()
-            while type(u) is list and u[0] is not None:
-                u = u[0]
-            if u is var:
-                return False
-            if type(u) is tuple:
-                todo += u
-    var[0] = t
-    trail.append(var)
-    return True
-
-
 def split_arrow(want, trail: list) -> tuple:
     """The (domain, codomain) of the arrow ``want`` stands for.
 
@@ -282,16 +246,24 @@ def unify(x, y, trail: list) -> bool:
         while type(y) is list and y[0] is not None:
             y = y[0]
         if x is not y:
-            if type(y) is list:
-                if not bind(y, x, trail):
-                    return False
-            elif type(x) is list:
-                if not bind(x, y, trail):
-                    return False
-            else:
-                todo += (x[1], y[1])
-                x, y = x[0], y[0]
-                continue
+            if type(y) is not list:
+                if type(x) is not list:
+                    todo += (x[1], y[1])
+                    x, y = x[0], y[0]
+                    continue
+                x, y = y, x
+            if type(x) is tuple:  # bind the unbound y to x unless y occurs in x
+                occurs = list(x)
+                while occurs:
+                    u = occurs.pop()
+                    while type(u) is list and u[0] is not None:
+                        u = u[0]
+                    if u is y:
+                        return False
+                    if type(u) is tuple:
+                        occurs += u
+            y[0] = x
+            trail.append(y)
         if not todo:
             return True
         y = todo.pop()

@@ -9,7 +9,7 @@ from blc.asymptotics import (
     DISCRIMINANT_LIMIT,
     SINGULARITY_POLY,
     ConvergencePoint,
-    IntPolynomial,
+    _derivative,
     _rho_exact,
     _simplest_between,
     bound_discriminant,
@@ -50,9 +50,18 @@ RHO_EXACT = Fraction(
 )
 
 
+def _poly(cs):
+    """The coefficient sequence cs as a tuple without trailing zeros, so
+    that equal polynomials compare equal."""
+    cs = list(cs)
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
 def _product(*factors):
     """Exact product of coefficient sequences (``c[k]`` multiplies z^k),
-    as an IntPolynomial."""
+    as a tuple."""
     out = [1]
     for f in factors:
         prod = [0] * (len(out) + len(f) - 1)
@@ -60,13 +69,13 @@ def _product(*factors):
             for j, b in enumerate(f):
                 prod[i + j] += a * b
         out = prod
-    return IntPolynomial(out)
+    return _poly(out)
 
 
 def _at(p, x):
     """p(x) by Horner's rule, exact for an int or Fraction x."""
     acc = 0
-    for c in reversed(p.coeffs):
+    for c in reversed(p):
         acc = acc * x + c
     return acc
 
@@ -75,35 +84,40 @@ def _difference(a, b):
     """Coefficients of a - b, for coefficient sequences of any lengths."""
     width = max(len(a), len(b))
     a, b = list(a) + [0] * (width - len(a)), list(b) + [0] * (width - len(b))
-    return IntPolynomial(x - y for x, y in zip(a, b))
+    return _poly(x - y for x, y in zip(a, b))
 
 
 class TestIntPolynomial:
+    """Integer polynomials are int sequences, ``p[k]`` multiplying z^k."""
+
     def test_normalizes_trailing_zeros(self):
-        assert IntPolynomial((1, 2, 0, 0)).coeffs == (1, 2)
-        assert IntPolynomial((0, 0)).coeffs == ()
+        # real_roots takes a list or a tuple; trailing zeros and a
+        # constant factor change no root
+        roots = real_roots((2, -3, 1), 0, 3)  # (z - 1)(z - 2)
+        assert roots[0] == 1.0 and abs(roots[1] - 2.0) < 1e-12
+        for p in ([2, -3, 1], (2, -3, 1, 0, 0), [-4, 6, -2, 0]):
+            assert real_roots(p, 0, 3) == roots
 
     def test_derivative(self):
-        p = IntPolynomial((7, 0, 5, 2))  # 2z^3 + 5z^2 + 7
-        assert p.derivative().coeffs == (0, 10, 6)
-        assert IntPolynomial((3,)).derivative().coeffs == ()
+        assert _derivative((7, 0, 5, 2)) == [0, 10, 6]  # of 2z^3 + 5z^2 + 7
+        assert _derivative((3,)) == []
 
     def test_arithmetic(self):
         # the expansion helpers the identities below are checked with
-        assert _product((1, 1), (-1, 1)).coeffs == (-1, 0, 1)
-        assert _product((1, 1), (1, 1), (1, 1)).coeffs == (1, 3, 3, 1)
-        assert _product((0, 2), (3,)).coeffs == (0, 6)
-        assert _product((1, -1), ()).coeffs == ()
-        assert _product().coeffs == (1,)
-        assert _difference((0, 2), (0, 0, 1)).coeffs == (0, 2, -1)
-        assert _difference((1, 1), (1, 1)).coeffs == ()
-        p = IntPolynomial((1, -2, 3))  # 3z^2 - 2z + 1
+        assert _product((1, 1), (-1, 1)) == (-1, 0, 1)
+        assert _product((1, 1), (1, 1), (1, 1)) == (1, 3, 3, 1)
+        assert _product((0, 2), (3,)) == (0, 6)
+        assert _product((1, -1), ()) == ()
+        assert _product() == (1,)
+        assert _difference((0, 2), (0, 0, 1)) == (0, 2, -1)
+        assert _difference((1, 1), (1, 1)) == ()
+        p = (1, -2, 3)  # 3z^2 - 2z + 1
         assert [_at(p, 0), _at(p, 2), _at(p, Fraction(1, 2))] == [1, 9, Fraction(3, 4)]
-        assert _at(IntPolynomial(), 5) == 0
+        assert _at((), 5) == 0
 
 
 def test_singularity_poly_factors_through_the_limit_discriminant():
-    assert _product((-1, 1), DISCRIMINANT_LIMIT.coeffs) == SINGULARITY_POLY
+    assert _product((-1, 1), DISCRIMINANT_LIMIT) == SINGULARITY_POLY
 
 
 def test_counts_square_to_the_sextic():
@@ -117,13 +131,12 @@ def test_counts_square_to_the_sextic():
     h[:4] = [1, -1, -1, 1]
     for k in range(2, top + 1):
         h[k] -= 2 * (g[k - 2] - (g[k - 3] if k >= 3 else 0))
-    square = _product(h, h).coeffs[: top + 1]
-    sextic = SINGULARITY_POLY.coeffs
-    assert square == sextic + (0,) * (top + 1 - len(sextic))
+    square = _product(h, h)[: top + 1]
+    assert square == SINGULARITY_POLY + (0,) * (top + 1 - len(SINGULARITY_POLY))
 
 
 # (1 - z)^3 (1 + z)^2, the tail shared by every discriminant
-_TAIL = _product((1, -1), (1, -1), (1, -1), (1, 1), (1, 1)).coeffs
+_TAIL = _product((1, -1), (1, -1), (1, -1), (1, 1), (1, 1))
 
 
 def test_limit_discriminant_matches_its_closed_form():
@@ -134,16 +147,16 @@ def test_limit_discriminant_matches_its_closed_form():
 def test_bound_discriminant_is_the_limit_minus_one_monomial(m):
     # the closed form 4 z^4 (1 - z^m) - (1 - z)^3 (1 + z)^2, expanded
     # here, not through the limit polynomial the function starts from
-    one_minus_zm = _difference((1,), [0] * m + [1]).coeffs
-    closed_form = _difference(_product((0, 0, 0, 0, 4), one_minus_zm).coeffs, _TAIL)
+    one_minus_zm = _difference((1,), [0] * m + [1])
+    closed_form = _difference(_product((0, 0, 0, 0, 4), one_minus_zm), _TAIL)
     assert bound_discriminant(m) == closed_form
-    assert closed_form == _difference(DISCRIMINANT_LIMIT.coeffs, [0] * (m + 4) + [4])
+    assert closed_form == _difference(DISCRIMINANT_LIMIT, [0] * (m + 4) + [4])
 
 
 def test_bound_discriminant_vanishes_at_one():
     for m in range(12):
-        assert sum(bound_discriminant(m).coeffs) == 0  # the value at z = 1
-    assert bound_discriminant(0) == IntPolynomial((-1, 1, 2, -2, -1, 1))
+        assert sum(bound_discriminant(m)) == 0  # the value at z = 1
+    assert bound_discriminant(0) == (-1, 1, 2, -2, -1, 1)
 
 
 def test_bound_discriminant_rejects_negative():
@@ -163,14 +176,14 @@ def test_real_roots_of_the_sextic():
     (rho, one) = real_roots(SINGULARITY_POLY, Fraction(1, 2), 1)
     assert abs(rho - RHO) < 1e-12 and one == 1.0
     assert real_roots(SINGULARITY_POLY, Fraction(3, 5), 1) == [1.0]  # the endpoint root
-    assert real_roots(IntPolynomial((1, 0, 1)), -10, 10) == []  # z^2 + 1
+    assert real_roots((1, 0, 1), -10, 10) == []  # z^2 + 1
 
 
 def test_real_roots_endpoint_cases():
     # root exactly at the right endpoint
     assert real_roots(bound_discriminant(0), 0, 1) == [1.0]
     # root exactly at the left endpoint
-    p = IntPolynomial((2, -3, 1))  # (z - 1)(z - 2)
+    p = (2, -3, 1)  # (z - 1)(z - 2)
     roots = real_roots(p, 1, 3)
     assert len(roots) == 2
     assert roots[0] == 1.0 and abs(roots[1] - 2.0) < 1e-12
@@ -182,39 +195,30 @@ def test_real_roots_endpoint_cases():
 def test_real_roots_sees_even_multiplicity():
     # (z - 1)^2 never changes sign; only the squarefree reduction can
     # expose the root to a sign scan
-    p = IntPolynomial((1, -2, 1))
-    assert real_roots(p, 0, 2) == [1.0]
+    assert real_roots((1, -2, 1), 0, 2) == [1.0]
 
 
 def test_real_roots_rejects_zero_polynomial():
-    with pytest.raises(ValueError, match="^the zero polynomial vanishes everywhere$"):
-        real_roots(IntPolynomial(), 0, 1)
-
-
-def test_real_roots_rejects_non_positive_tolerance():
-    p = IntPolynomial((-1, 2))
-    for tolerance, shown in ((0, "0"), (-1e-12, "-1e-12"), (Fraction(-1, 3), "-1/3")):
-        with pytest.raises(ValueError, match=f"^tolerance must be positive, got {shown}$"):
-            real_roots(p, 0, 1, tolerance)
+    for zero in ((), [0], (0, 0)):  # trailing zeros are dropped first
+        with pytest.raises(ValueError, match="^the zero polynomial vanishes everywhere$"):
+            real_roots(zero, 0, 1)
 
 
 def test_real_roots_rejects_infinite_and_nan_arguments():
-    p = IntPolynomial((-1, 2))
+    p = (-1, 2)
     inf, nan = math.inf, math.nan
     for args, name, shown in (
         ((-inf, 1), "lo", "-inf"),
         ((nan, 1), "lo", "nan"),
         ((0, inf), "hi", "inf"),
         ((0, nan), "hi", "nan"),
-        ((0, 1, inf), "tolerance", "inf"),
-        ((0, 1, nan), "tolerance", "nan"),
     ):
         with pytest.raises(ValueError, match=f"^{name} must be finite, got {shown}$"):
             real_roots(p, *args)
 
 
 def test_real_roots_rejects_an_empty_interval():
-    p = IntPolynomial((-1, 2))
+    p = (-1, 2)
     for lo, hi in ((1, 0), (0.5, 0.25), (Fraction(2, 3), Fraction(1, 3))):
         with pytest.raises(ValueError, match="^need lo <= hi$"):
             real_roots(p, lo, hi)
@@ -245,9 +249,13 @@ def test_real_roots_separates_roots_closer_than_a_scan_grid():
     assert abs(Fraction(roots[1]) - near) <= 1e-12
     assert real_roots(p, 0, Fraction(1, 3)) == [1 / 3]
     assert real_roots(p, Fraction(1, 3), near) == [1 / 3, float(near)]  # both ends
-    # at a coarser tolerance both fall in one final cell and share its midpoint
-    coarse = real_roots(p, 0, 1, 2**-20)
-    assert coarse[0] == coarse[1] and abs(Fraction(coarse[0]) - near) <= 2**-20
+    # 2**-45 apart, both fall in one final 2**-40 cell of [0, 1] and
+    # share its midpoint, which is within the tolerance of each
+    closer = Fraction(1, 3) + Fraction(1, 2**45)
+    shared = real_roots(_from_roots(Fraction(1, 3), closer), 0, 1)
+    assert len(shared) == 2 and shared[0] == shared[1]
+    for root in (Fraction(1, 3), closer):
+        assert abs(Fraction(shared[0]) - root) <= 2**-41
 
 
 def test_real_roots_returns_a_visited_dyadic_root_exactly():
@@ -285,7 +293,7 @@ def test_rational_roots_come_back_exact():
     assert real_roots(_from_roots(Fraction(-22, 7)), -4, 2) == [-22 / 7]
     assert real_roots(SINGULARITY_POLY, 0, 2)[-1] == 1.0
     # an irrational root is still found to the tolerance
-    (root,) = real_roots(IntPolynomial((-2, 0, 1)), 1, 2)
+    (root,) = real_roots((-2, 0, 1), 1, 2)
     assert abs(root - math.sqrt(2)) <= 1e-12
 
 
@@ -371,8 +379,8 @@ class TestConstants:
         # the limit -SINGULARITY_POLY'(rho)/(1 - rho) equals the
         # derivative of the deflated quintic at rho
         rho = Fraction(*_rho_exact())
-        lhopital = -_at(SINGULARITY_POLY.derivative(), rho) / (1 - rho)
-        deflated = _at(DISCRIMINANT_LIMIT.derivative(), rho)
+        lhopital = -_at(_derivative(SINGULARITY_POLY), rho) / (1 - rho)
+        deflated = _at(_derivative(DISCRIMINANT_LIMIT), rho)
         assert abs(lhopital - deflated) < Fraction(1, 2**90)
 
     def test_counts_confirm_c_through_the_next_term(self):
@@ -382,9 +390,9 @@ class TestConstants:
         # Combinatorics, 2009, Thm. VI.1): c1 = 3/8 - 3/2 (b1/b0 + r2/(2 r1)),
         # b0 = B(rho), b1 = -rho B'(rho), r1 = -rho R'(rho), r2 = rho^2 R''(rho)/2
         rho = Fraction(*_rho_exact())
-        slope = SINGULARITY_POLY.derivative()
+        slope = _derivative(SINGULARITY_POLY)
         b_ratio = 2 - rho / (1 - rho)  # B'/B = -2/z + 1/(1 - z)
-        r_ratio = -rho * _at(slope.derivative(), rho) / (4 * _at(slope, rho))
+        r_ratio = -rho * _at(_derivative(slope), rho) / (4 * _at(slope, rho))
         c1 = Fraction(3, 8) - Fraction(3, 2) * (b_ratio + r_ratio)
         assert round(float(c1), 10) == -1.2926109401
         # n times the gap below measured 4.590-4.593 at n = 600..20,000, so

@@ -70,6 +70,14 @@ def test_rank_out_of_range():
             unrank(0, 4, bad)
 
 
+def test_unrank_rejects_a_rank_that_is_not_an_integer():
+    # refused, not truncated: 10**40 + 12345 has no exact float, and 2.5
+    # lies between two ranks
+    for m, n, k in ((math.inf, 200, float(10**40 + 12345)), (0, 10, 2.5)):
+        with pytest.raises(TypeError, match="'float' object cannot be interpreted as an integer"):
+            unrank(m, n, k)
+
+
 def test_out_of_range_names_numbers_past_14000_bits_by_bit_length():
     # their decimal text would pass Python's 4,300-digit int/str cap
     at_60 = "outside 1..821184564281143 for size 60 (unbounded)"

@@ -23,13 +23,12 @@ EXPORTS = {
         "sample_typable",
     ),
     typecheck: (
-        "TVar", "Arrow", "SimpleType", "Typing", "is_typable", "infer", "infer_annotated",
-        "format_type", "count_typable",
+        "TVar", "Arrow", "SimpleType", "Typing", "is_typable", "infer", "format_type",
+        "count_typable",
     ),
     asymptotics: (
-        "IntPolynomial", "SINGULARITY_POLY", "DISCRIMINANT_LIMIT", "bound_discriminant",
-        "real_roots", "sigma", "AsymptoticReport", "constants", "ConvergencePoint",
-        "convergence_series",
+        "SINGULARITY_POLY", "DISCRIMINANT_LIMIT", "bound_discriminant", "real_roots", "sigma",
+        "AsymptoticReport", "constants", "ConvergencePoint", "convergence_series",
     ),
 }
 
@@ -63,12 +62,11 @@ PARAMETERS = {
     "encode": ("term",),
     "format_type": ("ty",),
     "infer": ("term", "free_count"),
-    "infer_annotated": ("term", "free_count"),
     "is_typable": ("term", "free_count"),
     "max_free_index": ("term",),
     "parse_text": ("text",),
     "rank": ("m", "term", "table"),
-    "real_roots": ("p", "lo", "hi", "tolerance"),
+    "real_roots": ("p", "lo", "hi"),
     "render": ("term",),
     "sample": ("m", "n", "state", "table"),
     "sample_typable": ("m", "n", "state", "max_attempts", "table"),

@@ -17,14 +17,29 @@ from blc.typecheck import (
     Arrow,
     TVar,
     Typing,
+    _read_back,
+    _walk,
     count_typable,
     format_type,
     infer,
-    infer_annotated,
     is_typable,
     resolve,
     unify,
 )
+
+
+def infer_annotated(term, free_count=0):
+    """``infer``'s typing and one type per subterm, in preorder, sharing
+    its variables, numbered on after the context's; None if untypable.
+    The replay checker below checks the rules against these types
+    without trusting the solver."""
+    walked = _walk(term, free_count)
+    if walked is None:
+        return None
+    root, context, annotations = walked
+    ty, *types = _read_back([root, *context, *annotations])
+    return Typing(ty, tuple(types[:free_count])), tuple(types[free_count:])
+
 
 IDENTITY = Abs(Index(1))
 K = Abs(Abs(Index(2)))
@@ -80,7 +95,7 @@ def test_infinite_type_through_arrow_merging():
     # \f.\z. ((\a.\b. a) (f z)) (f (\y. f)): forces f's type to contain
     # itself.  A unifier that merges two arrows can close that cycle
     # without any variable binding seeing it; the cell unifier never
-    # merges arrows, so the occurs check in bind catches the cycle
+    # merges arrows, so the occurs check in unify catches the cycle
     trap = Abs(
         Abs(
             App(

@@ -8,7 +8,7 @@ import pickle
 
 import pytest
 
-from blc.asymptotics import AsymptoticReport, ConvergencePoint, IntPolynomial
+from blc.asymptotics import AsymptoticReport, ConvergencePoint
 from blc.terms import Abs, App, Index
 from blc.typecheck import Arrow, TVar, Typing
 
@@ -39,12 +39,6 @@ CASES = {
         "Typing(type=Arrow(domain=TVar(id=0), codomain=TVar(id=0)), context=(TVar(id=1),))",
         dict(type=Arrow(TVar(0), TVar(0)), context=(TVar(1),)),
         Typing(Arrow(TVar(0), TVar(0)), ()),
-    ),
-    "IntPolynomial": (
-        IntPolynomial((1, -2, 0)),
-        "IntPolynomial(coeffs=(1, -2))",
-        dict(coeffs=(1, -2)),
-        IntPolynomial((1, 2)),
     ),
     "AsymptoticReport": (
         AsymptoticReport(0.5, 2.0, 1.5, -1.25, 0.25, (-1.0, 0.5), "n"),
@@ -79,8 +73,6 @@ def _fields(value) -> tuple:
             return (domain, codomain)
         case Typing(type_, context):
             return (type_, context)
-        case IntPolynomial(coeffs):
-            return (coeffs,)
         case AsymptoticReport(rho, growth, q_at_rho, c_tilde, c, real_roots, note):
             return (rho, growth, q_at_rho, c_tilde, c, real_roots, note)
         case ConvergencePoint(m, n, value_):
