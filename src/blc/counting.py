@@ -134,11 +134,11 @@ class CountTable:
     columns from size 8 on take four columns per big-integer product, in
     slots that count(m, s) <= 2^s keeps apart (``_packed_pass``).
 
-    A fill holds the table's lock, builds the unbounded row in a local
-    list and publishes it with one assignment, and appends a bounded
-    entry only once it is computed.  So a fill cut short by an exception
-    leaves every published entry correct, two threads never fill the
-    same entry, and a lookup of an entry already filled takes no lock.
+    A fill holds the table's lock and appends an entry, to the unbounded
+    row or a bounded one, only once it is computed; rows only grow.  So
+    a fill cut short by an exception leaves every published entry
+    correct, two threads never fill the same entry, and a lookup of an
+    entry already filled takes no lock.
     """
 
     def __init__(self, max_n: int = 0):
@@ -182,7 +182,7 @@ class CountTable:
         if n <= self.max_n:
             return
         with self._lock:
-            a = self._inf[:]
+            a = self._inf
             a.extend((0, 0, 1, 1, 2, 2)[len(a) : n + 1])
             for k in range(len(a), n + 1):
                 a.append(
@@ -196,7 +196,6 @@ class CountTable:
                     )
                     // (k + 2)
                 )
-            self._inf = a
 
     def _fill_cone(self, m: int, n: int) -> None:
         """Fill rows m, m + 1, ... through the sizes ``count(m, n)`` reads."""
@@ -238,9 +237,8 @@ class CountTable:
         ``cone(m, n)[d][s] == count(m + d, s)`` for every s <= n - 2d; from
         the first d where m + d >= n - 2d - 1 on, the entry is the
         unbounded row.  The entries are the table's own rows: do not
-        modify them.  They may be read with no lock, since rows only grow,
-        the unbounded row is replaced only by a longer copy, and a fill
-        publishes an entry only once it is computed.
+        modify them.  They may be read with no lock, since rows only grow
+        and a fill appends an entry only once it is computed.
         """
         self.count(m, n)
         top = _saturation_depth(m, n)
@@ -250,6 +248,7 @@ class CountTable:
     def count_row(self, m: int | float, max_n: int) -> list[int]:
         """Counts for sizes 0..max_n at bound ``m``, from one fill at max_n
         rather than one column per size."""
+        check_bound(m)
         return self.cone(m, max_n)[0][: max_n + 1] if max_n >= 0 else []
 
 

@@ -1,3 +1,6 @@
+import _thread
+import threading
+
 import pytest
 from hypothesis import strategies as st
 
@@ -23,6 +26,21 @@ def all_valid_codes(n: int) -> list[tuple[str, int]]:
             continue
         out.append((bits, max_free_index(term)))
     return out
+
+
+# Seconds one test may run before the watchdog interrupts it, so a stalled
+# test fails the run instead of hanging it; the slowest test takes about 5 s.
+# A timer thread rather than SIGALRM, which tests in test_counting.py use.
+TEST_TIME_LIMIT = 120
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_call(item):
+    timer = threading.Timer(TEST_TIME_LIMIT, _thread.interrupt_main)
+    timer.daemon = True
+    timer.start()
+    yield
+    timer.cancel()
 
 
 @pytest.fixture(scope="session")

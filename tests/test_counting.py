@@ -4,6 +4,7 @@ import random
 import signal
 import sys
 import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -145,6 +146,9 @@ def test_count_validates_arguments():
         count(-1, 5)
     with pytest.raises(ValueError):
         count(2.5, 5)
+    for m, max_n in ((-1, -1), (2.5, -1), ("x", -3)):
+        with pytest.raises(ValueError):
+            count_row(m, max_n)
 
 
 def test_functional_equation_holds():
@@ -397,8 +401,8 @@ def test_interrupted_unbounded_fill_claims_no_size_it_did_not_finish():
                 table.count(math.inf, big)
             except Interrupted:
                 cut += 1
-                # The row is published whole or not at all.
-                assert table.max_n in (CONE_TOP, big)
+                # The row grows entry by entry, and keeps what it finished.
+                assert CONE_TOP <= table.max_n <= big
             finally:
                 signal.setitimer(signal.ITIMER_REAL, 0)
             assert table._inf == fresh._inf[: table.max_n + 1]
@@ -431,3 +435,67 @@ def test_threads_share_a_fresh_table():
             assert table._rows == fresh._rows
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_stepping_the_unbounded_row_up_costs_about_one_fill():
+    # Each extension appends to the row in place, so stepping n up one
+    # size at a time costs about what one fill to the top does.
+    top = 20000
+    fill = stepped = math.inf
+    for _ in range(2):
+        start = time.perf_counter()
+        CountTable(top)
+        fill = min(fill, time.perf_counter() - start)
+        table = CountTable()
+        row = table._inf
+        start = time.perf_counter()
+        for n in range(top + 1):
+            table.count(math.inf, n)
+        stepped = min(stepped, time.perf_counter() - start)
+        assert table._inf is row and table.max_n == top
+    assert stepped <= 3 * fill, (stepped, fill)
+
+
+def test_threads_read_the_unbounded_row_while_it_grows():
+    low, top = CONE_TOP, 20000
+    want = CountTable(low)._inf
+    table = CountTable(low)
+    row = table._inf
+    cone = table.cone(math.inf, low)
+    done = threading.Event()
+    start = threading.Barrier(3)
+
+    def step():
+        start.wait(timeout=30)
+        try:
+            for n in range(low, top + 1):
+                table.count(math.inf, n)
+        finally:
+            done.set()
+
+    def read():
+        start.wait(timeout=30)
+        bad = []
+        while True:
+            stop = done.is_set()
+            for k in range(low + 1):
+                if table.count(math.inf, k) != want[k]:
+                    bad.append(("count", k))
+            for d, r in enumerate(cone):
+                if r[: low - 2 * d + 1] != want[: low - 2 * d + 1]:
+                    bad.append(("cone", d))
+            if stop:
+                return bad
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(3) as pool:
+            readers = [pool.submit(read) for _ in range(2)]
+            stepper = pool.submit(step)
+            stepper.result(timeout=120)
+            assert [f.result(timeout=120) for f in readers] == [[], []]
+    finally:
+        sys.setswitchinterval(interval)
+    assert table._inf is row
+    assert table._inf == CountTable(top)._inf
