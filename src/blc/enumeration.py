@@ -253,6 +253,7 @@ class Sampler:
     generator = "mt19937"
 
     def __init__(self, seed: int):
+        seed = operator.index(seed)  # a float would seed from its hash
         if seed < 0:  # random.Random seeds from abs(seed): -s would replay s
             raise ValueError(f"seed must be >= 0, got {seed}")
         self._rng = random.Random(seed)

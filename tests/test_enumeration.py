@@ -173,6 +173,12 @@ def test_sampler_rejects_a_negative_seed():
         Sampler(-7)
 
 
+def test_sampler_takes_an_integer_seed():
+    # random.Random would seed from the float's hash
+    with pytest.raises(TypeError):
+        Sampler(2.5)
+
+
 def test_rank_below_covers_range_uniformly():
     s = Sampler(5)
     seen = [s.rank_below(7) for _ in range(2000)]

@@ -32,6 +32,18 @@ EXPORTS = {
     ),
 }
 
+# ``from blc import *`` binds the exports and the five submodules.
+STAR = [
+    "Abs", "App", "Arrow", "AsymptoticReport", "AttemptsExhausted", "ConvergencePoint",
+    "CountTable", "DISCRIMINANT_LIMIT", "DecodeError", "FreeIndexExceeded", "Index", "NoTerms",
+    "OutOfRange", "ParseError", "SINGULARITY_POLY", "Sampler", "SimpleType", "TVar", "Term",
+    "TrailingBits", "Truncated", "Typing", "asymptotics", "bound_discriminant", "constants",
+    "convergence_series", "count", "count_row", "count_typable", "counting", "decode",
+    "encode", "enumeration", "format_type", "infer", "is_typable", "max_free_index",
+    "parse_text", "rank", "real_roots", "render", "sample", "sample_typable", "sigma", "size",
+    "terms", "typecheck", "unrank", "verify_functional_equation",
+]
+
 CLI_OPTIONS = {
     "": ("-h", "--help", "--version"),
     "count": ("-h", "--help", "--size", "--free", "--all", "--max-n", "--format"),
@@ -80,8 +92,8 @@ PARAMETERS = {
 def test_exported_names_are_each_modules_all():
     got = {
         name
-        for name, obj in vars(blc).items()
-        if not name.startswith("_") and not isinstance(obj, types.ModuleType)
+        for name in dir(blc)
+        if not name.startswith("_") and not isinstance(getattr(blc, name), types.ModuleType)
     }
     assert got == {name for names in EXPORTS.values() for name in names}
     for module, names in EXPORTS.items():
@@ -104,7 +116,13 @@ def test_cli_options_are_pinned():
 def test_public_function_parameters_are_pinned():
     got = {
         name: tuple(inspect.signature(obj).parameters)
-        for name, obj in vars(blc).items()
-        if not name.startswith("_") and inspect.isfunction(obj)
+        for name in dir(blc)
+        if not name.startswith("_") and inspect.isfunction(obj := getattr(blc, name))
     }
     assert got == PARAMETERS
+
+
+def test_star_import_binds_the_exports_and_the_submodules():
+    namespace = {}
+    exec("from blc import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == STAR
