@@ -42,7 +42,6 @@ from .enumeration import (
 )
 from .terms import (
     FreeIndexExceeded,
-    ParseError,
     decode,
     encode,
     max_free_index,
@@ -105,8 +104,12 @@ def _read_term(args):
         if args.term is not None:
             return decode(args.term)
         return parse_text(args.text)
-    except (ParseError, ValueError) as exc:
+    except ValueError as exc:
         raise UsageError(f"bad term input: {exc}") from None
+
+
+def _term_text(args, term) -> str:
+    return encode(term) if args.term_format == "binary" else render(term)
 
 
 def _emit(args, payload: dict, plain_lines: list[str], meta_extra: dict | None = None) -> None:
@@ -164,15 +167,14 @@ def _add_guard_option(
     )
 
 
-def _cmd_count(args) -> int:
+def _cmd_count(args) -> None:
     _check_guard(args.size, args)
     m = _bound(args)
     value = counting.count(m, args.size)
     _emit(args, {"n": args.size, "m": _bound_text(m), "count": value}, [str(value)])
-    return 0
 
 
-def _cmd_table(args) -> int:
+def _cmd_table(args) -> None:
     if args.max_n < 0:
         raise UsageError(f"--max-n must be >= 0, got {args.max_n}")
     bounds = _parse_bounds(args.m)
@@ -181,26 +183,22 @@ def _cmd_table(args) -> int:
         label = _bound_text(m)
         for n, value in enumerate(counting.count_row(m, args.max_n)):
             print(f"{n},{label},{value}")
-    return 0
 
 
-def _cmd_unrank(args) -> int:
+def _cmd_unrank(args) -> None:
     _check_guard(args.size, args)
-    term = unrank(_bound(args), args.size, args.index)
-    text = encode(term) if args.term_format == "binary" else render(term)
+    text = _term_text(args, unrank(_bound(args), args.size, args.index))
     _emit(args, {"term": text, "term_format": args.term_format}, [text])
-    return 0
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args) -> None:
     term = _read_term(args)
     _check_guard(size(term), args)
     value = rank(_bound(args), term)
     _emit(args, {"rank": value}, [str(value)])
-    return 0
 
 
-def _cmd_sample(args) -> int:
+def _cmd_sample(args) -> None:
     _check_guard(args.size, args)
     if args.count < 1:
         raise UsageError(f"--count must be >= 1, got {args.count}")
@@ -216,13 +214,12 @@ def _cmd_sample(args) -> int:
             terms.append(sample_typable(m, args.size, state, args.max_attempts))
         else:
             terms.append(sample(m, args.size, state))
-    texts = [encode(t) if args.term_format == "binary" else render(t) for t in terms]
+    texts = [_term_text(args, t) for t in terms]
     meta = {"generator": Sampler.generator, "seed": args.seed}
     _emit(args, {"terms": texts, "term_format": args.term_format}, texts, meta_extra=meta)
-    return 0
 
 
-def _cmd_typecheck(args) -> int:
+def _cmd_typecheck(args) -> None:
     term = _read_term(args)
     typing = infer(term, max_free_index(term))
     if typing is None:
@@ -230,10 +227,9 @@ def _cmd_typecheck(args) -> int:
     else:
         text = format_type(typing.type)
         _emit(args, {"typable": True, "type": text}, [text])
-    return 0
 
 
-def _cmd_count_typable(args) -> int:
+def _cmd_count_typable(args) -> None:
     _check_guard(args.size, args)
     value = count_typable(args.size, closed=args.closed)
     _emit(
@@ -241,23 +237,20 @@ def _cmd_count_typable(args) -> int:
         {"n": args.size, "closed": args.closed, "count": value},
         [str(value)],
     )
-    return 0
 
 
-def _cmd_asymptotics(args) -> int:
+def _cmd_asymptotics(args) -> None:
     r = constants()
     print(json.dumps({name: getattr(r, name) for name in r.__match_args__}))
-    return 0
 
 
-def _cmd_convergence(args) -> int:
+def _cmd_convergence(args) -> None:
     if args.max_n < 2:
         raise UsageError(f"--max-n must be >= 2, got {args.max_n}")
     bounds = _parse_bounds(args.m)
     print("m,n,value")
     for pt in convergence_series(bounds, args.max_n):
         print(f"{_bound_text(pt.m)},{pt.n},{pt.value:.12g}")
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -397,9 +390,9 @@ def main(argv: list[str] | None = None) -> int:
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
         try:
-            code = args.func(args)
+            args.func(args)
             sys.stdout.flush()  # so a closed pipe raises here, not at exit
-            return code
+            return 0
         except BrokenPipeError:
             # the reader has gone: discard the rest, so the flush at exit cannot fail too
             devnull = os.open(os.devnull, os.O_WRONLY)

@@ -14,7 +14,16 @@ from blc import __version__, cli
 from blc.cli import main
 from blc.counting import count
 from blc.enumeration import rank, unrank
-from blc.terms import decode, encode, max_free_index, size
+from blc.terms import (
+    ParseError,
+    TrailingBits,
+    Truncated,
+    decode,
+    encode,
+    max_free_index,
+    parse_text,
+    size,
+)
 from blc.typecheck import is_typable
 
 
@@ -106,6 +115,21 @@ def test_resource_limit_exits_4(capsys, monkeypatch, exc):
     )
 
 
+def test_main_lets_a_bug_propagate_and_puts_back_the_digit_cap(monkeypatch):
+    def broken(m, n):
+        raise KeyError(n)
+
+    monkeypatch.setattr(cli.counting, "count", broken)
+    cap = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(5000)
+        with pytest.raises(KeyError):
+            main(["count", "--size", "10", "--all"])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(cap)
+
+
 def test_unrank_binary(capsys):
     code, out, _ = run_cli(capsys, "unrank", "--size", "4", "--free", "0", "--index", "1")
     assert code == 0
@@ -152,10 +176,26 @@ def test_rank_free_index_above_bound(capsys):
     assert "free index" in err
 
 
-def test_rank_malformed_term(capsys):
-    code, _, err = run_cli(capsys, "rank", "--term", "10x01", "--free", "0")
+# One input per error class that term input raises, all ValueErrors.
+MALFORMED_TERMS = [
+    ("--term", "10x01", ValueError),
+    ("--term", "0", Truncated),
+    ("--term", "00101", TrailingBits),
+    ("--text", "(1", ParseError),
+]
+
+
+@pytest.mark.parametrize(
+    "flag, value, error", MALFORMED_TERMS, ids=[e.__name__ for _, _, e in MALFORMED_TERMS]
+)
+def test_rank_malformed_term(capsys, flag, value, error):
+    with pytest.raises(error):
+        decode(value) if flag == "--term" else parse_text(value)
+    code, out, err = run_cli(capsys, "rank", flag, value, "--free", "0")
     assert code == 2
     assert "bad term input" in err
+    assert out == ""
+    assert err.startswith("error: bad term input: ") and err.count("\n") == 1
 
 
 def test_sample_is_reproducible(capsys):

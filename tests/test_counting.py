@@ -95,6 +95,30 @@ def test_bounded_cone_is_pinned():
     assert digest == "ad94a7d18a739a31f429ea7f3196c7e71e4a8cfc3bde50d2718c58aa11f890c4"
 
 
+@pytest.mark.parametrize("m", [1970, 1940])
+def test_near_saturated_cones_at_2000_match_the_recurrence_mod_a_prime(m):
+    # The packed pass is widest here: cone rows of about 2,000 columns.
+    # The reference runs the recurrence mod 2^61 - 1 over each row's
+    # columns past j + 1, where the bound first cuts, seeding the rest
+    # from the unbounded row; it shares no code with the packed pass.
+    n, p = 2000, (1 << 61) - 1
+    table = CountTable()
+    value = table.count(m, n)
+    inf = [v % p for v in table._inf]
+    top = m + (n + 1 - m) // 3
+    assert len(table._rows) == top
+    above = inf
+    for j in range(top - 1, m - 1, -1):
+        last = n - 2 * (j - m)
+        row = inf[: j + 2]
+        for s in range(j + 2, last + 1):
+            apps = sum(row[k] * row[s - 2 - k] for k in range(s - 1))
+            row.append((above[s - 2] + apps) % p)
+        assert [v % p for v in table._rows[j]] == row, j
+        above = row
+    assert value % p == above[n]
+
+
 @pytest.mark.parametrize("start", range(9))
 def test_uneven_ensure_steps_match_a_one_shot_fill(start):
     # Starts 0..8 put the row's end before, inside and past the six seed
