@@ -4,7 +4,8 @@ Each entry is an argv list run in-process through ``cli.main``, with
 the sha256 of its stdout, the sha256 of its stderr and its exit code.
 It covers every subcommand, plain and ``--format json`` where the
 subcommand has it, at bound 0 and unbounded, and one usage error for
-each of the exit codes 2, 3 and 4.  ``--help`` is left out.
+each of the exit codes 2, 3 and 4.  A separate ``HELP`` table pins the
+``--help`` text of the top level and of every subcommand, with its sha256.
 
 After an intended output change, print each entry's current exit code
 and digests with
@@ -283,6 +284,21 @@ MANIFEST = [
 ]
 
 
+# (argv, sha256 of stdout); each exits 0 with nothing on stderr
+HELP = [
+    (["--help"], "21ddc27c69edda1350571d582056584e9da79b716f7a13ff0acdad8232f791b8"),
+    (["count", "--help"], "308b2248b04be5913714814433e4028097172aa09cbe2a4792726aa507f0696a"),
+    (["table", "--help"], "b66fe594e7333d98aac6db2537995f4b2a92261ff9a36e1f48cd5b1f39f08b79"),
+    (["unrank", "--help"], "fc182649d88509ce14f2afc667fe5633651b18d71a9a09f21b8ef48e37490fbd"),
+    (["rank", "--help"], "697be5f32016fae8b2fa1facdb3f008c2b03489819fc46e8d2f2158c743fce09"),
+    (["sample", "--help"], "d11366c7f39a35624d2821be0fed41c9fbc387d1d09a10157c19491e6b59b5bb"),
+    (["typecheck", "--help"], "140d0863e926935d21bb9839d7d74eba2ef2fd1872b1f5c18a5baf8d23bdd468"),
+    (["count-typable", "--help"], "7800c71b34b2ee24e125cb4c40a5daa679277103c1ba4447c46fed21f9ab51b7"),
+    (["asymptotics", "--help"], "73b5dbd8725fbbf0aabbc24f44d9808a35c522416b9e3f80e5d60c375ea4b24f"),
+    (["convergence", "--help"], "855c94bc2e74e20db18fdf471abd006e17db57da82b9cfc28b2234e6a86b7ab9"),
+]
+
+
 def run(argv: list[str], capsys) -> tuple[int, str, str]:
     code = main(argv)
     out, err = capsys.readouterr()
@@ -295,6 +311,17 @@ def run(argv: list[str], capsys) -> tuple[int, str, str]:
 def test_cli_output_is_unchanged(argv, code, out_sha, err_sha, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps its usage text to the terminal width
     assert run(argv, capsys) == (code, out_sha, err_sha)
+
+
+@pytest.mark.parametrize("argv, out_sha", HELP, ids=[" ".join(e[0]) for e in HELP])
+def test_help_is_unchanged(argv, out_sha, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(argv, capsys) == (0, out_sha, EMPTY)
+
+
+def test_help_covers_every_subcommand():
+    commands = {argv[0] for argv, *_ in MANIFEST}
+    assert {argv[0] for argv, _ in HELP} == commands | {"--help"}
 
 
 def test_manifest_covers_every_subcommand_and_error_code():
@@ -319,7 +346,7 @@ if __name__ == "__main__":
     import os
 
     os.environ["COLUMNS"] = "80"
-    for argv, *_ in MANIFEST:
+    for argv, *_ in MANIFEST + HELP:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(argv)

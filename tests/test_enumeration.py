@@ -138,10 +138,14 @@ def test_unrank_inverts_rank_on_handmade_terms():
 
 
 def test_rank_rejects_oversized_free_indices():
+    # refused before the cone is filled: a fresh table stays empty
+    table = CountTable()
     with pytest.raises(FreeIndexExceeded):
-        rank(0, Index(1))
+        rank(0, Index(1), table=table)
+    assert table.max_n == 0
     with pytest.raises(FreeIndexExceeded):
-        rank(1, Abs(App(Index(1), Index(3))))
+        rank(1, Abs(App(Index(1), Index(3))), table=table)
+    assert table.max_n == 0
 
 
 def test_saturated_bounds_enumerate_identically():

@@ -56,21 +56,46 @@ def test_no_terms_below_size_two():
     assert size(Index(1)) == 2  # the smallest term there is
 
 
-@pytest.mark.parametrize("bad", ["", "1", "0", "00", "01", "001", "0111", "010010"])
-def test_decode_truncated(bad):
-    with pytest.raises(Truncated):
-        decode(bad)
+RUN_UNENDED = "index run of 1s is missing its terminating 0"
 
 
-@pytest.mark.parametrize("bad", ["100", "00101", "0010" + "0010"])
-def test_decode_trailing(bad):
-    with pytest.raises(TrailingBits):
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("", "input ended inside a term (after 0 bits)"),
+        ("1", RUN_UNENDED),
+        ("0", "input ended inside a term (after 1 bits)"),
+        ("00", "input ended inside a term (after 2 bits)"),
+        ("01", "input ended inside a term (after 2 bits)"),
+        ("001", RUN_UNENDED),
+        ("0111", RUN_UNENDED),
+        ("010010", "input ended inside a term (after 6 bits)"),
+    ],
+)
+def test_decode_truncated(bad, message):
+    with pytest.raises(Truncated) as err:
         decode(bad)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "bad,message",
+    [
+        ("100", "term complete after 2 bits, 1 left over"),
+        ("00101", "term complete after 4 bits, 1 left over"),
+        ("0010" + "0010", "term complete after 4 bits, 4 left over"),
+    ],
+)
+def test_decode_trailing(bad, message):
+    with pytest.raises(TrailingBits) as err:
+        decode(bad)
+    assert str(err.value) == message
 
 
 def test_decode_rejects_other_characters():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as err:
         decode("0a10")
+    assert str(err.value) == "bit string may contain only '0' and '1'"
 
 
 def test_index_starts_at_one():
@@ -146,12 +171,25 @@ def test_parse_ignores_whitespace():
 
 
 @pytest.mark.parametrize(
-    "bad",
-    ["", "()", "(1 2", "1 2", "\\", "(1 2))", "0", "x", "(1)", "\\0"],
+    "bad,message,position",
+    [
+        ("", "unexpected end of input", 0),
+        ("()", "unexpected ')'", 1),
+        ("(1 2", "expected ')'", 4),
+        ("1 2", "trailing input after a complete term", 2),
+        ("\\", "unexpected end of input", 1),
+        ("(1 2))", "trailing input after a complete term", 5),
+        ("0", "de Bruijn indices start at 1", 0),
+        ("x", "unexpected character 'x'", 0),
+        ("(1)", "unexpected ')'", 2),
+        ("\\0", "de Bruijn indices start at 1", 1),
+    ],
 )
-def test_parse_errors(bad):
-    with pytest.raises(ParseError):
+def test_parse_errors(bad, message, position):
+    with pytest.raises(ParseError) as err:
         parse_text(bad)
+    assert str(err.value) == f"{message} (at position {position})"
+    assert err.value.position == position
 
 
 def test_parse_error_has_position():
