@@ -9,12 +9,14 @@ to the k-th term, ``rank`` inverts it exactly, and a ``Sampler`` draws
 uniform terms by drawing uniform ranks.
 
 Ranks are plain Python ints, so classes with astronomically many terms
-(sizes in the hundreds) work unchanged.  Both directions run a work
-stack rather than recursing.  Block masses fall off towards both ends
-of an application block run, so ``unrank`` scans the blocks from
-whichever end its residual rank is nearer, and ``rank`` sums whichever
-side of a term's block is shorter; the rank order is the same either
-way.  ``sample_typable`` runs the same unrank loop with typing on: each
+(sizes in the hundreds) work unchanged.  Neither direction recurses:
+``unrank`` runs a work stack that places the term's nodes in preorder,
+and one fold in ``terms`` builds the term from that list; ``rank``
+lists the term's nodes in preorder and folds the list backwards into
+(size, rank) pairs.  Block masses fall off towards both ends of an
+application block run, so ``unrank`` scans the blocks from whichever
+end its residual rank is nearer, and ``rank`` sums whichever side of a
+term's block is shorter; the rank order is the same either way.  ``sample_typable`` runs the same unrank loop with typing on: each
 node is typed as it is placed, and a draw is dropped at its first
 failed unification.
 """
@@ -26,7 +28,7 @@ import operator
 import random
 
 from . import counting
-from .terms import Abs, App, FreeIndexExceeded, Index, Term, max_free_index, size
+from .terms import Abs, App, FreeIndexExceeded, Index, Term, _build, max_free_index, size
 from .typecheck import split_arrow, unify
 
 __all__ = [
@@ -65,11 +67,6 @@ def _number_text(x: int) -> str:
     return f"<a {'negative ' if x < 0 else ''}{x.bit_length()}-bit number>"
 
 
-# Work-stack markers: rebuild an abstraction or an application from
-# the finished subterms on the output stack.
-_MK_ABS, _MK_APP = ("abs",), ("app",)
-
-
 def _unrank(cone: list[list[int]], m: int | float, n: int, k: int, typed: bool) -> Term | None:
     """The k-th term of the non-empty (m, n) class, for k in range.
 
@@ -77,9 +74,10 @@ def _unrank(cone: list[list[int]], m: int | float, n: int, k: int, typed: bool) 
     (m + d, s) with s <= n - 2d, counted by ``cone[d][s]``.  With
     ``typed`` the loop also types each node as it places it, and returns
     None at the first failed unification, when the term has no simple
-    type.
+    type.  The nodes are placed in preorder, and the term is built from
+    them only once every node is placed, so a failed draw builds none.
     """
-    out: list[Term] = []
+    nodes: list = []  # the term in preorder, as ``terms._build`` takes it
     # Typed mode: binder types, outermost first (the binders of an item
     # at depth d are the first d), free slots' types, and a trail that
     # is never undone, since a draw that fails is dropped whole.
@@ -88,15 +86,7 @@ def _unrank(cone: list[list[int]], m: int | float, n: int, k: int, typed: bool) 
     trail: list = []
     work: list[tuple] = [(0, n, k, [None] if typed else None)]
     while work:
-        item = work.pop()
-        if item is _MK_ABS:
-            out[-1] = Abs(out[-1])
-            continue
-        if item is _MK_APP:
-            arg = out.pop()
-            out[-1] = App(out[-1], arg)
-            continue
-        d, n, k, want = item
+        d, n, k, want = work.pop()
         if typed:
             del binders[d:]
         # Items pop in preorder, function part before argument.
@@ -115,12 +105,12 @@ def _unrank(cone: list[list[int]], m: int | float, n: int, k: int, typed: bool) 
                         var = context.setdefault(n - 1 - d, want)
                     if not unify(var, want, trail):
                         return None
-                out.append(Index(n - 1))
+                nodes.append(Index(n - 1))
                 break
             base = n - 2
             body_total = cone[d + 1][base]
             if k <= body_total:
-                work.append(_MK_ABS)
+                nodes.append(Abs)
                 if typed:
                     dom, want = split_arrow(want, trail)
                     binders.append(dom)
@@ -144,13 +134,13 @@ def _unrank(cone: list[list[int]], m: int | float, n: int, k: int, typed: bool) 
             if step < 0:
                 h = block - h + 1
             fun_rank, arg_rank = divmod(h - 1, arg_total)
-            work.append(_MK_APP)
+            nodes.append(App)
             a = [None] if typed else None
             work.append((d, base - fun, arg_rank + 1, a))
             if typed:
                 want = (a, want)
             n, k = fun, fun_rank + 1
-    return out[0]
+    return _build(nodes)
 
 
 def _cone(m: int | float, n: int, table: counting.CountTable | None) -> tuple[list, int]:
@@ -179,10 +169,6 @@ def unrank(m: int | float, n: int, k: int, *, table: counting.CountTable | None 
     return _unrank(cone, m, n, k, False)
 
 
-# Work-stack tags for rank.
-_DOWN, _AFTER_ABS, _AFTER_APP = 0, 1, 2
-
-
 def rank(m: int | float, term: Term, *, table: counting.CountTable | None = None) -> int:
     """Position of ``term`` in its size class at bound m; inverse of unrank.
 
@@ -195,30 +181,33 @@ def rank(m: int | float, term: Term, *, table: counting.CountTable | None = None
     if free > m:
         raise FreeIndexExceeded(f"term has free index {free}, above the bound {m}")
     cone = (table or counting.shared_table()).cone(m, size(term))
-    work: list[tuple] = [(_DOWN, term, 0)]
-    # Finished subterms as (size, rank) pairs, innermost last.
+    # The nodes in preorder, each with its depth (its enclosing binders).
+    nodes: list[tuple[Term, int]] = []
+    stack = [(term, 0)]
+    while stack:
+        item = stack.pop()
+        nodes.append(item)
+        node, d = item
+        tp = type(node)
+        if tp is Abs:
+            stack.append((node.body, d + 1))
+        elif tp is App:
+            stack.append((node.arg, d))
+            stack.append((node.fun, d))
+    # Each finished subterm as a (size, rank) pair, the leftmost on top.
     done: list[tuple[int, int]] = []
-    while work:
-        tag, node, d = work.pop()
-        if tag == _DOWN:
-            tp = type(node)
-            if tp is Index:
-                # The variable is the last rank of its own class, which
-                # is saturated because the index lies within the bound.
-                done.append((node.i + 1, cone[d][node.i + 1]))
-            elif tp is Abs:
-                work.append((_AFTER_ABS, None, d))
-                work.append((_DOWN, node.body, d + 1))
-            else:
-                work.append((_AFTER_APP, None, d))
-                work.append((_DOWN, node.arg, d))
-                work.append((_DOWN, node.fun, d))
-        elif tag == _AFTER_ABS:
-            n, k = done.pop()
-            done.append((n + 2, k))
+    for node, d in reversed(nodes):
+        tp = type(node)
+        if tp is Index:
+            # The variable is the last rank of its own class, which is
+            # saturated because the index lies within the bound.
+            done.append((node.i + 1, cone[d][node.i + 1]))
+        elif tp is Abs:
+            n, k = done[-1]
+            done[-1] = (n + 2, k)
         else:
-            arg_size, arg_rank = done.pop()
             fun_size, fun_rank = done.pop()
+            arg_size, arg_rank = done[-1]
             base = fun_size + arg_size
             n = base + 2
             saturated = m + d >= n - 1
@@ -234,7 +223,7 @@ def rank(m: int | float, term: Term, *, table: counting.CountTable | None = None
                 h += row[n] - body_total - saturated - row[fun_size] * row[arg_size]
                 for j in range(fun_size + 1, base - 1):
                     h -= row[j] * row[base - j]
-            done.append((n, body_total + h))
+            done[-1] = (n, body_total + h)
     return done[0][1]
 
 

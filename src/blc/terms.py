@@ -137,11 +137,19 @@ def encode(term: Term) -> str:
     return "".join(parts)
 
 
-# Stack markers for decode: an abstraction waiting for its body, and an
-# application whose function part is not finished yet.  A finished
-# function part replaces the _APP marker until the argument completes.
-_ABS = object()
-_APP = object()
+def _build(preorder: list) -> Term:
+    """The term whose nodes, in preorder, are ``preorder``: ``Index``
+    leaves, and the classes ``Abs`` and ``App`` for inner nodes."""
+    stack: list = []  # finished subterms, the leftmost on top
+    for node in reversed(preorder):
+        if node is Abs:
+            stack[-1] = Abs(stack[-1])
+        elif node is App:
+            fun = stack.pop()
+            stack[-1] = App(fun, stack[-1])
+        else:
+            stack.append(node)
+    return stack[0]
 
 
 def decode(bits: str) -> Term:
@@ -156,40 +164,29 @@ def decode(bits: str) -> Term:
         raise ValueError("bit string may contain only '0' and '1'")
     n = len(bits)
     pos = 0
-    stack: list = []
-    while True:
-        if pos >= n:
-            raise Truncated(f"input ended inside a term (after {n} bits)")
-        if bits[pos] == "0":
-            pos += 1
-            if pos >= n:
-                raise Truncated(f"input ended inside a term (after {n} bits)")
-            stack.append(_ABS if bits[pos] == "0" else _APP)
-            pos += 1
-            continue
-        run = bits.find("0", pos)
-        if run < 0:
-            raise Truncated("index run of 1s is missing its terminating 0")
-        term: Term = Index(run - pos)
-        pos = run + 1
-        # Fold the finished subterm into whatever is waiting on the stack.
-        while True:
-            if not stack:
-                if pos != n:
-                    raise TrailingBits(
-                        f"term complete after {pos} bits, {n - pos} left over"
-                    )
-                return term
-            top = stack[-1]
-            if top is _ABS:
-                stack.pop()
-                term = Abs(term)
-            elif top is _APP:
-                stack[-1] = term
-                break
+    todo = 1  # subterms opened but not finished
+    nodes: list = []
+    try:  # an IndexError means the input ended before the term did
+        while todo:
+            if bits[pos] == "1":
+                run = bits.find("0", pos)
+                if run < 0:
+                    raise Truncated("index run of 1s is missing its terminating 0")
+                nodes.append(Index(run - pos))
+                pos = run + 1
+                todo -= 1
+            elif bits[pos + 1] == "0":
+                nodes.append(Abs)
+                pos += 2
             else:
-                stack.pop()
-                term = App(top, term)
+                nodes.append(App)
+                pos += 2
+                todo += 1
+    except IndexError:
+        raise Truncated(f"input ended inside a term (after {n} bits)") from None
+    if pos != n:
+        raise TrailingBits(f"term complete after {pos} bits, {n - pos} left over")
+    return _build(nodes)
 
 
 def max_free_index(term: Term) -> int:
@@ -248,9 +245,9 @@ def _tokens(text: str) -> Iterator[tuple[str, int]]:
         elif c in "\\()":
             yield c, pos
             pos += 1
-        elif c.isdigit():
+        elif c in "0123456789":
             start = pos
-            while pos < n and text[pos].isdigit():
+            while pos < n and text[pos] in "0123456789":
                 pos += 1
             yield text[start:pos], start
         else:
@@ -266,44 +263,37 @@ def parse_text(text: str) -> Term:
     """
     toks = list(_tokens(text))
     k = 0
-    # Stack entries: _ABS, _APP (function part pending), or a one-tuple
-    # holding the finished function part of an application.
-    stack: list = []
+    nodes: list = []
+    apps: list[bool] = []  # per open application: is its function part done?
     while True:
         if k >= len(toks):
             raise ParseError("unexpected end of input", len(text))
         tok, pos = toks[k]
         k += 1
         if tok == "\\":
-            stack.append(_ABS)
+            nodes.append(Abs)
             continue
         if tok == "(":
-            stack.append(_APP)
+            nodes.append(App)
+            apps.append(False)
             continue
         if tok == ")":
             raise ParseError("unexpected ')'", pos)
         idx = int(tok)
         if idx < 1:
             raise ParseError("de Bruijn indices start at 1", pos)
-        term: Term = Index(idx)
-        while True:
-            if not stack:
-                if k != len(toks):
-                    raise ParseError("trailing input after a complete term", toks[k][1])
-                return term
-            top = stack[-1]
-            if top is _ABS:
-                stack.pop()
-                term = Abs(term)
-            elif top is _APP:
-                stack[-1] = (term,)
-                break
-            else:
-                if k >= len(toks):
-                    raise ParseError("expected ')'", len(text))
-                ctok, cpos = toks[k]
-                if ctok != ")":
-                    raise ParseError("expected ')'", cpos)
-                k += 1
-                stack.pop()
-                term = App(top[0], term)
+        nodes.append(Index(idx))
+        # The finished subterm closes every application whose argument it ends.
+        while apps and apps[-1]:
+            if k >= len(toks):
+                raise ParseError("expected ')'", len(text))
+            ctok, cpos = toks[k]
+            if ctok != ")":
+                raise ParseError("expected ')'", cpos)
+            k += 1
+            apps.pop()
+        if not apps:
+            if k != len(toks):
+                raise ParseError("trailing input after a complete term", toks[k][1])
+            return _build(nodes)
+        apps[-1] = True

@@ -58,34 +58,32 @@ def test_no_terms_below_size_two():
 
 RUN_UNENDED = "index run of 1s is missing its terminating 0"
 
+# (input, error text); each test's ids are its inputs alone
+TRUNCATED = [
+    ("", "input ended inside a term (after 0 bits)"),
+    ("1", RUN_UNENDED),
+    ("0", "input ended inside a term (after 1 bits)"),
+    ("00", "input ended inside a term (after 2 bits)"),
+    ("01", "input ended inside a term (after 2 bits)"),
+    ("001", RUN_UNENDED),
+    ("0111", RUN_UNENDED),
+    ("010010", "input ended inside a term (after 6 bits)"),
+]
+TRAILING = [
+    ("100", "term complete after 2 bits, 1 left over"),
+    ("00101", "term complete after 4 bits, 1 left over"),
+    ("0010" + "0010", "term complete after 4 bits, 4 left over"),
+]
 
-@pytest.mark.parametrize(
-    "bad,message",
-    [
-        ("", "input ended inside a term (after 0 bits)"),
-        ("1", RUN_UNENDED),
-        ("0", "input ended inside a term (after 1 bits)"),
-        ("00", "input ended inside a term (after 2 bits)"),
-        ("01", "input ended inside a term (after 2 bits)"),
-        ("001", RUN_UNENDED),
-        ("0111", RUN_UNENDED),
-        ("010010", "input ended inside a term (after 6 bits)"),
-    ],
-)
+
+@pytest.mark.parametrize("bad,message", TRUNCATED, ids=[bad for bad, _ in TRUNCATED])
 def test_decode_truncated(bad, message):
     with pytest.raises(Truncated) as err:
         decode(bad)
     assert str(err.value) == message
 
 
-@pytest.mark.parametrize(
-    "bad,message",
-    [
-        ("100", "term complete after 2 bits, 1 left over"),
-        ("00101", "term complete after 4 bits, 1 left over"),
-        ("0010" + "0010", "term complete after 4 bits, 4 left over"),
-    ],
-)
+@pytest.mark.parametrize("bad,message", TRAILING, ids=[bad for bad, _ in TRAILING])
 def test_decode_trailing(bad, message):
     with pytest.raises(TrailingBits) as err:
         decode(bad)
@@ -170,20 +168,27 @@ def test_parse_ignores_whitespace():
     assert parse_text("\\ \\ 2") == K
 
 
+# (input, error text, position)
+PARSE_ERRORS = [
+    ("", "unexpected end of input", 0),
+    ("()", "unexpected ')'", 1),
+    ("(1 2", "expected ')'", 4),
+    ("1 2", "trailing input after a complete term", 2),
+    ("\\", "unexpected end of input", 1),
+    ("(1 2))", "trailing input after a complete term", 5),
+    ("0", "de Bruijn indices start at 1", 0),
+    ("x", "unexpected character 'x'", 0),
+    ("(1)", "unexpected ')'", 2),
+    ("\\0", "de Bruijn indices start at 1", 1),
+    # INDEX is ASCII decimal: other Unicode digits are not part of it
+    ("\u00b2", "unexpected character '\u00b2'", 0),
+    ("1\u00b2", "unexpected character '\u00b2'", 1),
+    ("\\\u0661", "unexpected character '\u0661'", 1),
+]
+
+
 @pytest.mark.parametrize(
-    "bad,message,position",
-    [
-        ("", "unexpected end of input", 0),
-        ("()", "unexpected ')'", 1),
-        ("(1 2", "expected ')'", 4),
-        ("1 2", "trailing input after a complete term", 2),
-        ("\\", "unexpected end of input", 1),
-        ("(1 2))", "trailing input after a complete term", 5),
-        ("0", "de Bruijn indices start at 1", 0),
-        ("x", "unexpected character 'x'", 0),
-        ("(1)", "unexpected ')'", 2),
-        ("\\0", "de Bruijn indices start at 1", 1),
-    ],
+    "bad,message,position", PARSE_ERRORS, ids=[bad for bad, *_ in PARSE_ERRORS]
 )
 def test_parse_errors(bad, message, position):
     with pytest.raises(ParseError) as err:
