@@ -1,10 +1,12 @@
 import math
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
+from blc import asymptotics
 from blc.asymptotics import (
     DISCRIMINANT_LIMIT,
     SINGULARITY_POLY,
@@ -164,6 +166,12 @@ def test_bound_discriminant_rejects_negative():
         bound_discriminant(-1)
 
 
+def test_bound_discriminant_and_sigma_reject_a_bound_that_is_not_an_integer():
+    for f in (bound_discriminant, sigma):
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            f(2.0)
+
+
 def test_real_roots_of_the_sextic():
     roots = real_roots(SINGULARITY_POLY, -4, 2)
     assert len(roots) == 4
@@ -237,6 +245,55 @@ def test_exact_outputs_are_unchanged():
     assert abs(RHO_EXACT - Fraction(RHO)) < 1e-16
     for m in range(31):
         assert real_roots(bound_discriminant(m), 0, 1)[0] == SIGMA_0_TO_30[m]
+
+
+def test_sigma_is_the_first_of_the_two_roots_real_roots_finds():
+    # real_roots, with its Sturm chain, is the oracle for the seeded
+    # bisection, bit for bit; in [0, 1] the polynomial has sigma and 1 only
+    for m in range(151):
+        roots = real_roots(bound_discriminant(m), 0, 1)
+        assert roots == ([sigma(m), 1.0] if m else [1.0]), m
+
+
+_CELL = 2**-40  # the width of real_roots' last cells on [0, 1]
+
+
+@pytest.mark.parametrize(
+    "seed",
+    [lambda m: math.nan, lambda m: math.inf, lambda m: 0.0, lambda m: 0.99,
+     lambda m: SIGMA_0_TO_30[m] - _CELL, lambda m: SIGMA_0_TO_30[m] + _CELL],
+    ids=["nan", "inf", "zero", "0.99", "one-cell-left", "one-cell-right"],
+)
+def test_sigma_bisects_all_of_the_interval_when_the_seed_misses(monkeypatch, seed):
+    asked = []
+    monkeypatch.setattr(asymptotics, "_sigma_seed", lambda m: asked.append(m) or seed(m))
+    assert tuple(sigma(m) for m in range(31)) == SIGMA_0_TO_30
+    assert asked == list(range(1, 31))
+
+
+def test_the_sigma_seed_lands_in_the_cell_that_is_bisected(monkeypatch):
+    # a miss would still give the right float, through the fallback, at
+    # a bisection of the whole interval
+    widths = []
+    bisect = asymptotics._bisect
+    monkeypatch.setattr(
+        asymptotics, "_bisect", lambda q, a, b, *rest: widths.append(b - a) or bisect(q, a, b, *rest)
+    )
+    for m in range(1, 301):
+        sigma(m)
+    assert widths == [2] * 300  # one cell of 2 / 2**41
+
+
+def test_sigma_at_a_large_bound_is_fast_and_shares_rho_s_cell():
+    started = time.perf_counter()
+    value = sigma(2000)
+    assert time.perf_counter() - started < 1
+    # sigma(2000) - rho is far below the grid, so both lie in one last
+    # cell of real_roots' grid, and sigma returns its midpoint, which is
+    # 4.2e-13 below rho: rho sits in the cell's upper half
+    low = int(RHO_EXACT * 2**41) // 2 * 2
+    assert value == (low + 1) / 2**41
+    assert abs(value - RHO) < 1e-12 and value < sigma(30)
 
 
 def test_real_roots_separates_roots_closer_than_a_scan_grid():
