@@ -11,13 +11,12 @@ whose smallest positive root ``sigma(m)`` decreases to rho as m grows;
 bounding only the free indices, as ``count(m, n)`` does, keeps rho.
 
 Root isolation is exact and in integers only: a Sturm chain of primitive
-integer polynomials, halving until each cell holds one root, then sign
-bisection, at points that share one denominator; ``sigma``'s polynomial
-has one sign change to find, so it bisects with no chain.  The constant
-chain and the scaled counts are evaluated in integers too, every exact
-value held as a (numerator, denominator) pair, square roots by
-``math.isqrt`` to 2**-160 or finer, and each value is rounded to float
-once by int true division, which rounds correctly.
+integer polynomials (``sigma`` needs none: one sign change), halving
+until each cell holds one root, then sign bisection, at points sharing
+one denominator.  The constant chain and the scaled counts are evaluated
+in integers too, every exact value held as a (numerator, denominator)
+pair, square roots by ``math.isqrt`` to 2**-160 or finer, and each value
+is rounded to float once by int true division, which rounds correctly.
 """
 
 from __future__ import annotations
@@ -254,8 +253,7 @@ def real_roots(p: Iterable[int], lo, hi) -> list[float]:
 
 
 def _sigma_seed(m: int) -> float:
-    """sigma(m), m >= 1, in floats: Newton on the convex g of ``sigma``
-    from 0.58, right of every sigma(m), so the steps fall monotonically."""
+    """Newton's estimate of sigma(m), m >= 1, from 0.58, right of it; g is convex."""
     z = 0.58
     for _ in range(8):
         s = (1 - z**m) / (1 - z)  # 1 + z + ... + z^(m-1)
@@ -266,16 +264,13 @@ def _sigma_seed(m: int) -> float:
 
 
 def sigma(m: int) -> float:
-    """Smallest root in (0, 1] of ``bound_discriminant(m)``, to 1e-12: the
-    float ``real_roots(bound_discriminant(m), 0, 1)[0]`` gives.
+    """Smallest root in (0, 1] of ``bound_discriminant(m)``, to 1e-12.
 
     sigma(0) == 1 exactly, sigma(1) == 1/sqrt(3), and the sequence
     decreases toward rho as m grows.  For m >= 1 the polynomial is
     (1 - z) g(z), g(z) = 4 z^4 (1 + z + ... + z^(m-1)) - (1 - z^2)^2,
     and g rises strictly on [0, 1] from -1 to 4m, so bisecting [0, 1] on
-    signs ends in real_roots' last cell.  A float seed names that cell
-    and two exact signs confirm it, at a tenth of the cost of a Sturm
-    chain for m = 1..30; a miss bisects all of [0, 1].
+    signs ends in real_roots' last cell and returns real_roots' float.
     """
     p = bound_discriminant(m)
     if not m:

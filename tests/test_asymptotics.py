@@ -1,7 +1,6 @@
 import math
 import subprocess
 import sys
-import time
 from fractions import Fraction
 
 import pytest
@@ -279,15 +278,13 @@ def test_the_sigma_seed_lands_in_the_cell_that_is_bisected(monkeypatch):
     monkeypatch.setattr(
         asymptotics, "_bisect", lambda q, a, b, *rest: widths.append(b - a) or bisect(q, a, b, *rest)
     )
-    for m in range(1, 301):
+    for m in [*range(1, 301), 2000]:
         sigma(m)
-    assert widths == [2] * 300  # one cell of 2 / 2**41
+    assert widths == [2] * 301  # one cell of 2 / 2**41
 
 
-def test_sigma_at_a_large_bound_is_fast_and_shares_rho_s_cell():
-    started = time.perf_counter()
+def test_sigma_at_a_large_bound_shares_rho_s_cell():
     value = sigma(2000)
-    assert time.perf_counter() - started < 1
     # sigma(2000) - rho is far below the grid, so both lie in one last
     # cell of real_roots' grid, and sigma returns its midpoint, which is
     # 4.2e-13 below rho: rho sits in the cell's upper half

@@ -1,8 +1,7 @@
 """Mutation runner: each mutant is one exact edit to the source, and
 tier-1 must fail on it, so "the tests would catch it" can be re-checked.
 
-    python tools/mutants.py            # every mutant
-    python tools/mutants.py NAME ...   # only the named ones
+    python tools/mutants.py
 
 Every edit is checked first: its old string must occur exactly once in
 its file, or the run stops before any test runs.  Then the unmutated
@@ -119,8 +118,8 @@ MUTANTS = [
 ]
 
 
-def _check(mutants: list[Mutant]) -> None:
-    for mutant in mutants:
+def _check() -> None:
+    for mutant in MUTANTS:
         found = (ROOT / mutant.path).read_text().count(mutant.old)
         if found != 1:
             sys.exit(f"mutant {mutant.name!r}: its old string occurs {found} times in {mutant.path}")
@@ -154,18 +153,14 @@ def _tier1(mutant: Mutant | None) -> tuple[str, float]:
     return f"{last} (interrupted, exit {proc.returncode})", elapsed
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {m.name for m in MUTANTS}
-    if unknown:
-        sys.exit(f"no such mutant: {', '.join(sorted(unknown))}")
-    mutants = [m for m in MUTANTS if not names or m.name in names]
-    _check(mutants)
+def main() -> int:
+    _check()
     failed, elapsed = _tier1(None)
     print(f"{'passed' if not failed else 'FAILED':<9} unmutated tree  {failed}  {elapsed:.1f} s", flush=True)
     if failed:
         return 1
     wrong = 0
-    for mutant in mutants:
+    for mutant in MUTANTS:
         killer, elapsed = _tier1(mutant)
         verdict = "killed" if killer else "survived"
         expected = "survived" if mutant.equivalent else "killed"
@@ -177,4 +172,4 @@ def main(names: list[str]) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
