@@ -49,7 +49,7 @@ from .terms import (
     render,
     size,
 )
-from .typecheck import count_typable, format_type, infer
+from .typecheck import _read_back, _walk, count_typable, format_type
 
 
 class UsageError(Exception):
@@ -221,11 +221,11 @@ def _cmd_sample(args) -> None:
 
 def _cmd_typecheck(args) -> None:
     term = _read_term(args)
-    typing = infer(term, max_free_index(term))
-    if typing is None:
+    walked = _walk(term, max_free_index(term))
+    if walked is None:
         _emit(args, {"typable": False, "type": None}, ["untypable"])
-    else:
-        text = format_type(typing.type)
+    else:  # only the type is printed, so only the root is read back
+        text = format_type(_read_back([walked[0]])[0])
         _emit(args, {"typable": True, "type": text}, [text])
 
 

@@ -62,7 +62,7 @@ def _bound_label(m: int | float) -> str:
 def _number_text(x: int) -> str:
     """x in decimal, or by its sign and bit length past 14,000 bits
     (about 4,200 digits, under Python's 4,300-digit int/str cap)."""
-    if not isinstance(x, int) or x.bit_length() <= 14000:
+    if x.bit_length() <= 14000:
         return str(x)
     return f"<a {'negative ' if x < 0 else ''}{x.bit_length()}-bit number>"
 

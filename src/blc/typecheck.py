@@ -11,10 +11,9 @@ its binder's type with the expected one.  A term is typable iff every
 unification succeeds, and the resulting type is principal: every other
 valid typing of the term is a substitution instance of it.
 
-Free indices type against a context of fresh variables, one slot per
-index 1..free_count, so ``is_typable(t, max_free_index(t))`` asks
-whether any context at all types the term.  Closed terms use
-free_count 0.
+Free index i under d binders types against context slot i - d, made
+at first use, so ``is_typable(t, max_free_index(t))`` asks whether any
+context at all types the term.  Closed terms use free_count 0.
 
 The same rules, on the same unifier, drive ``count_typable``, which
 types each term of a size class while one depth-first walk builds it
@@ -74,9 +73,9 @@ def _walk(term: Term, free_count: int):
     """Type ``term`` in a context of ``free_count`` fresh slots.
 
     One preorder pass by the rules above, over work items (subterm,
-    expected type, depth).  Returns the cells ``(root, context,
-    annotations)``, one annotation per subterm in preorder, or None
-    when the term has no simple type.
+    expected type, depth).  Returns None for an untypable term, else
+    ``(root, context, annotations)``: the root's cell, each used slot's
+    first expected type by slot, and a cell per subterm in preorder.
     """
     if free_count < 0:
         raise ValueError(f"free_count must be >= 0, got {free_count}")
@@ -84,7 +83,7 @@ def _walk(term: Term, free_count: int):
     if free > free_count:
         raise FreeIndexExceeded(f"free index {free} but only {free_count} context slots")
     root: list = [None]
-    context = [[None] for _ in range(free_count)]
+    context: dict[int, object] = {}
     binders: list = []  # domain of each enclosing abstraction, outermost first
     annotations: list = []
     trail: list = []  # never undone: a failed term is dropped whole
@@ -104,7 +103,7 @@ def _walk(term: Term, free_count: int):
             work.append((t.fun, (a, want), depth))
         else:
             slot = t.i - depth  # <= 0 for a bound index
-            var = binders[-t.i] if slot <= 0 else context[slot - 1]
+            var = binders[-t.i] if slot <= 0 else context.setdefault(slot, want)
             if not unify(var, want, trail):
                 return None
     return root, context, annotations
@@ -158,7 +157,7 @@ def infer(term: Term, free_count: int = 0) -> Typing | None:
     if walked is None:
         return None
     root, context, _ = walked
-    ty, *ctx = _read_back([root, *context])
+    ty, *ctx = _read_back([root, *(context.get(i, [None]) for i in range(1, free_count + 1))])
     return Typing(ty, tuple(ctx))
 
 
@@ -299,6 +298,7 @@ def _typed_walk(n: int, live: list[list[int]] | None) -> int:
     backtracking can unbind it.
     """
     trail: list[list] = []
+    # Not made at first use as in _walk: undo would leave a dead branch's slots behind.
     context = [[None] for _ in range(n)]  # free index i at depth d: context[i - d - 1]
     holes: list[tuple] = [(n, [None], ())]
 

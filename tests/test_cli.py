@@ -322,6 +322,15 @@ def test_typecheck_deep_abstraction_chain(capsys):
     assert out.count(" -> ") == 20000 and out.endswith("\n")
 
 
+def test_typecheck_costs_follow_the_input_not_its_largest_free_index(capsys):
+    # index 10**9 types in one context cell, so this answers at once
+    code, out, _ = run_cli(capsys, "typecheck", "--text", "1000000000")
+    assert (code, out) == (0, "a\n")
+    code, out, _ = run_cli(capsys, "typecheck", "--text", "1000000000", "--format", "json")
+    assert code == 0
+    assert out == f'{{"metadata": {{"version": "{__version__}"}}, "typable": true, "type": "a"}}\n'
+
+
 def test_typecheck_malformed(capsys):
     code, _, err = run_cli(capsys, "typecheck", "--term", "0010x")
     assert code == 2

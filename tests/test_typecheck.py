@@ -37,7 +37,8 @@ def infer_annotated(term, free_count=0):
     if walked is None:
         return None
     root, context, annotations = walked
-    ty, *types = _read_back([root, *context, *annotations])
+    slots = [context.get(i, [None]) for i in range(1, free_count + 1)]
+    ty, *types = _read_back([root, *slots, *annotations])
     return Typing(ty, tuple(types[:free_count])), tuple(types[free_count:])
 
 
@@ -156,6 +157,17 @@ def test_type_variables_are_numbered_in_first_use_order():
     assert typing == Typing(TVar(0), (TVar(0),))
     identity = Arrow(TVar(1), TVar(1))
     assert annotations == (TVar(0), Arrow(identity, TVar(0)), TVar(0), identity, TVar(1))
+
+
+def test_a_walk_makes_a_cell_only_for_each_slot_it_uses():
+    # one slot used, so one cell, whatever the slot's number
+    root, context, _ = _walk(Index(10**6), 10**6)
+    assert len(context) == 1
+    assert format_type(_read_back([root])[0]) == "a"
+
+
+def test_unused_context_slots_get_fresh_variables_in_slot_order():
+    assert infer(Index(2), 3) == Typing(TVar(0), (TVar(1), TVar(0), TVar(2)))
 
 
 def test_inference_is_stable_across_runs():

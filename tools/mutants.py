@@ -15,9 +15,9 @@ each is listed with its reason, and for them "survived" is the expected
 verdict.  The exit status is 1 if a mutant gets the other verdict, or if
 the unmutated tree fails.
 
-A full run took about 7 minutes on 2-core x86_64 with Python 3.11.7: the
-unmutated tree and each equivalent mutant run all of tier-1 (about 20 s
-each), and the occurs-check mutant stalls until the watchdog fires.
+A full run took 7 to 8.5 minutes on 2-core x86_64 with Python 3.11.7:
+the unmutated tree and each equivalent mutant run all of tier-1 (20 to
+31 s each), and the occurs-check mutant stalls until the watchdog fires.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = [
-    # typecheck: the census walk's leaf typing and the occurs check
+    # typecheck: the census walk's leaf typing, inference's free slots and the occurs check
     Mutant("leaf function not unified", "src/blc/typecheck.py",
            "if unify(f, (a, want), trail):", "if True:"),
     Mutant("fresh cell per free slot at a leaf argument", "src/blc/typecheck.py",
@@ -58,6 +58,12 @@ MUTANTS = [
     Mutant("leaf body's index 1 bound to the outer binder", "src/blc/typecheck.py",
            "unify(dom if body == 2 else binders[-1] if depth else context[0], cod, trail)",
            "unify(binders[-1] if depth else dom if body == 2 else context[0], cod, trail)"),
+    Mutant("inference keys a free slot by its index, not index - depth", "src/blc/typecheck.py",
+           "context.setdefault(slot, want)", "context.setdefault(t.i, want)"),
+    Mutant("inference makes a free slot's cell fresh, not its first expected type",
+           "src/blc/typecheck.py",
+           "context.setdefault(slot, want)", "context.setdefault(slot, [None])",
+           equivalent="the first unify binds the expected type to the fresh cell, the same constraint"),
     Mutant("no occurs check", "src/blc/typecheck.py",
            "if u is y:\n                        return False",
            "if u is y:\n                        pass"),
