@@ -208,13 +208,13 @@ def _cmd_sample(args) -> None:
         raise UsageError(f"--max-attempts must be >= 1, got {args.max_attempts}")
     m = _bound(args)
     state = Sampler(args.seed)
-    terms = []
+    texts = []  # each draw becomes its text at once, so no term outlives its draw
     for _ in range(args.count):
         if args.typable:
-            terms.append(sample_typable(m, args.size, state, args.max_attempts))
+            term = sample_typable(m, args.size, state, args.max_attempts)
         else:
-            terms.append(sample(m, args.size, state))
-    texts = [_term_text(args, t) for t in terms]
+            term = sample(m, args.size, state)
+        texts.append(_term_text(args, term))
     meta = {"generator": Sampler.generator, "seed": args.seed}
     _emit(args, {"terms": texts, "term_format": args.term_format}, texts, meta_extra=meta)
 

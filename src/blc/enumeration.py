@@ -290,6 +290,7 @@ def sample_typable(
     ``max_attempts`` failed draws (typable terms get scarce as n grows,
     so the limit matters).
     """
+    max_attempts = operator.index(max_attempts)
     if max_attempts < 1:
         raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
     cone, total = _cone(m, n, table)

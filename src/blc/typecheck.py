@@ -26,6 +26,8 @@ a most general unifier does not depend on the order of the equations.
 
 from __future__ import annotations
 
+import operator
+
 from . import counting
 from ._record import Record, setfield
 from .terms import Abs, App, FreeIndexExceeded, Term, max_free_index
@@ -77,6 +79,7 @@ def _walk(term: Term, free_count: int):
     ``(root, context, annotations)``: the root's cell, each used slot's
     first expected type by slot, and a cell per subterm in preorder.
     """
+    free_count = operator.index(free_count)
     if free_count < 0:
         raise ValueError(f"free_count must be >= 0, got {free_count}")
     free = max_free_index(term)
@@ -272,11 +275,12 @@ def unify(x, y, trail: list) -> bool:
 def _typed_walk(n: int, live: list[list[int]] | None) -> int:
     """Number of typable terms of size ``n``, by one depth-first walk.
 
-    The walk builds terms from a stack of holes, each a (size, expected
-    type, binder types) triple, and types every node by the rules of
-    inference as it places it; an application tries each split of the
-    size between its function and argument.  Only indices can fail, and
-    a failure cuts off every completion of the prefix at once.
+    The walk builds terms from an immutable chain ``(hole, rest)`` of
+    pending (size, expected type, binder types) holes, so it restores
+    none on return, and types every node by the rules of inference as it
+    places it; an application tries each split of the size between its
+    function and argument.  Only indices can fail, and a failure cuts
+    off every completion of the prefix at once.
 
     A hole of size 2 or 3 has one filler, index 1 or 2, so it is never
     pushed: its parent places it when it opens it.  A leaf argument's
@@ -300,32 +304,28 @@ def _typed_walk(n: int, live: list[list[int]] | None) -> int:
     trail: list[list] = []
     # Not made at first use as in _walk: undo would leave a dead branch's slots behind.
     context = [[None] for _ in range(n)]  # free index i at depth d: context[i - d - 1]
-    holes: list[tuple] = [(n, [None], ())]
 
     def undo(mark: int) -> None:
         while len(trail) > mark:
             trail.pop()[0] = None
 
-    def walk() -> int:
-        hole = holes.pop()
-        size, want, binders = hole
+    def walk(holes: tuple) -> int:
+        (size, want, binders), rest = holes
         depth = len(binders)
         mark = len(trail)
         found = 0
         i = size - 1  # the one index of this size
         if i <= depth or live is None:
             if unify(binders[-i] if i <= depth else context[i - depth - 1], want, trail):
-                found += walk() if holes else 1
+                found += walk(rest) if rest else 1
             undo(mark)
         body = size - 2
         if body >= 2 and (live is None or live[depth + 1][body]):
             dom, cod = split_arrow(want, trail)
             if body > 3:
-                holes.append((body, cod, binders + (dom,)))
-                found += walk()
-                holes.pop()
+                found += walk(((body, cod, binders + (dom,)), rest))
             elif unify(dom if body == 2 else binders[-1] if depth else context[0], cod, trail):
-                found += walk() if holes else 1
+                found += walk(rest) if rest else 1
             undo(mark)
         for fun in range(2, size - 3):
             arg = size - 2 - fun
@@ -333,24 +333,20 @@ def _typed_walk(n: int, live: list[list[int]] | None) -> int:
                 continue
             if arg > 3:
                 a = [None]
-                holes.append((arg, a, binders))
+                after = ((arg, a, binders), rest)
             else:  # index 1 or 2: its binder's cell, or its free slot's
                 a = binders[1 - arg] if arg <= depth + 1 else context[arg - depth - 2]
+                after = rest
             if fun > 3:
-                holes.append((fun, (a, want), binders))
-                found += walk()
-                holes.pop()
+                found += walk(((fun, (a, want), binders), after))
             else:
                 f = binders[1 - fun] if fun <= depth + 1 else context[fun - depth - 2]
                 if unify(f, (a, want), trail):
-                    found += walk() if holes else 1
+                    found += walk(after) if after else 1
                 undo(mark)
-            if arg > 3:
-                holes.pop()
-        holes.append(hole)
         return found
 
-    return walk()
+    return walk(((n, [None], ()), None))
 
 
 def count_typable(
@@ -374,6 +370,7 @@ def count_typable(
     (default: the shared one) to skip empty subterm classes.  ``jobs``
     is accepted but advisory: the walk runs in the calling thread.
     """
+    n = operator.index(n)
     if n < 2:
         return 0
     if not closed:

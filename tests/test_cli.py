@@ -7,6 +7,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -269,6 +270,22 @@ def test_rank_guard_refuses_a_huge_index_cheaply(capsys):
         "error: size 1000000001 is above the --max-n guard (2000); "
         "raise it explicitly if you mean it\n"
     )
+
+
+def test_sample_holds_its_output_not_its_draws(capsys):
+    # 1,000 terms of size 200 hold about 3.7 MB as trees, 0.2 MB as lines;
+    # the bound is 1.6 kB a draw, at 1,000 draws since tracemalloc slows them 12x
+    run_cli(capsys, "sample", "--size", "200", "--all", "--count", "1", "--seed", "1")
+    argv = ("sample", "--size", "200", "--all", "--count", "1000", "--seed", "1")
+    for extra in ((), ("--format", "json")):
+        tracemalloc.start()
+        try:
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and len(out) > 1000 * 200
+        assert peak < 1.6 * 2**20, f"peak {peak / 2**20:.1f} MB with {extra}"
 
 
 def test_sample_empty_class(capsys):

@@ -250,6 +250,14 @@ def test_sample_typable_rejects_non_positive_attempts():
             sample_typable(0, 30, Sampler(0), max_attempts=bad)
 
 
+def test_sample_typable_takes_an_integer_max_attempts():
+    # True is one attempt, and says so; 0.5 would read as below 1
+    with pytest.raises(AttemptsExhausted, match=r"in 1 draws$"):
+        sample_typable(0, 40, Sampler(1), True)
+    with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+        sample_typable(0, 40, Sampler(1), 0.5)
+
+
 def test_rank_validates_its_bound_up_front():
     for bad in (-1, 2.5):
         with pytest.raises(ValueError, match="free-index bound") as info:

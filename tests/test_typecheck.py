@@ -145,6 +145,14 @@ def test_negative_free_count_is_rejected():
                 call(term, -1)
 
 
+def test_free_count_must_be_an_integer():
+    # 1.5 passes the bound checks, so only the conversion refuses it
+    for call in (is_typable, infer, infer_annotated):
+        with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+            call(Index(1), 1.5)
+    assert is_typable(Index(1), True)
+
+
 def test_type_variables_are_numbered_in_first_use_order():
     assert infer(K).type == Arrow(TVar(0), Arrow(TVar(1), TVar(0)))
     # domain before codomain
@@ -426,6 +434,14 @@ def test_census_bounds():
     for n in (10, 14):
         assert count_typable(n) <= count(0, n)
         assert count_typable(n, closed=False) <= count(math.inf, n)
+
+
+def test_census_size_must_be_an_integer():
+    # refused up front: 1.5 would count 0, and 14.0 fail deep in the walk
+    for n in (1.5, 14.0):
+        for closed in (True, False):
+            with pytest.raises(TypeError, match="^'float' object cannot be interpreted as an integer$"):
+                count_typable(n, closed)
 
 
 def test_census_trivial_sizes():

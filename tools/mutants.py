@@ -15,9 +15,9 @@ each is listed with its reason, and for them "survived" is the expected
 verdict.  The exit status is 1 if a mutant gets the other verdict, or if
 the unmutated tree fails.
 
-A full run took 7 to 8.5 minutes on 2-core x86_64 with Python 3.11.7:
+A full run took 7 to 9.5 minutes on 2-core x86_64 with Python 3.11.7:
 the unmutated tree and each equivalent mutant run all of tier-1 (20 to
-31 s each), and the occurs-check mutant stalls until the watchdog fires.
+40 s each), and the occurs-check mutant stalls until the watchdog fires.
 """
 
 from __future__ import annotations
@@ -64,6 +64,14 @@ MUTANTS = [
            "src/blc/typecheck.py",
            "context.setdefault(slot, want)", "context.setdefault(slot, [None])",
            equivalent="the first unify binds the expected type to the fresh cell, the same constraint"),
+    Mutant("census drops the pending holes after a leaf argument", "src/blc/typecheck.py",
+           "after = rest", "after = None"),
+    Mutant("census counts nothing when a leaf function ends the chain", "src/blc/typecheck.py",
+           "found += walk(after) if after else 1", "found += walk(after) if after else 0"),
+    Mutant("inference takes a float free_count", "src/blc/typecheck.py",
+           "    free_count = operator.index(free_count)\n", ""),
+    Mutant("census takes a float size", "src/blc/typecheck.py",
+           "    n = operator.index(n)\n", ""),
     Mutant("no occurs check", "src/blc/typecheck.py",
            "if u is y:\n                        return False",
            "if u is y:\n                        pass"),
@@ -72,6 +80,8 @@ MUTANTS = [
            "    k = operator.index(k)\n", ""),
     Mutant("Sampler takes a float seed", "src/blc/enumeration.py",
            "seed = operator.index(seed)", "seed = seed"),
+    Mutant("sample_typable takes a non-integer max_attempts", "src/blc/enumeration.py",
+           "    max_attempts = operator.index(max_attempts)\n", ""),
     Mutant("rank_below accepts total", "src/blc/enumeration.py",
            "if value < total:", "if value <= total:"),
     Mutant("unrank scans application blocks one way", "src/blc/enumeration.py",
